@@ -27,9 +27,7 @@ from .error_model import (
     DegenerateSyncTimingError,
     ErrorModelParams,
     ToAErrorSample,
-    ideal_error_bound,
     sample_error,
-    sign_permutations,
     sync_offset,
 )
 from .experiments import (
@@ -55,12 +53,9 @@ from .geometry import (
     circumcenter,
     contains,
     distance,
-    sample_in_triangle,
     sample_points_in_triangle,
 )
 from .lora_phy import (
-    DUTY_CYCLE_PRESETS,
-    DutyCyclePreset,
     RadioParams,
     duty_cycle,
     low_dr_opt_auto,
@@ -99,9 +94,7 @@ __all__ = [
     "DegenerateSyncTimingError",
     "ErrorModelParams",
     "ToAErrorSample",
-    "ideal_error_bound",
     "sample_error",
-    "sign_permutations",
     "sync_offset",
     "AlphaBounds",
     "DEFAULT_PL_CAPS",
@@ -123,10 +116,7 @@ __all__ = [
     "circumcenter",
     "contains",
     "distance",
-    "sample_in_triangle",
     "sample_points_in_triangle",
-    "DUTY_CYCLE_PRESETS",
-    "DutyCyclePreset",
     "RadioParams",
     "duty_cycle",
     "low_dr_opt_auto",

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 configuration/parse error, 2 domain error
 (singular geometry, no real root, counter overflow), 3 I/O error.
+JSON tables are strict JSON: a non-finite value is written as null.
 
 Output routing: with --out, the data table goes to the file and a short
 human summary to stdout; without --out, the table goes to stdout and the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -175,7 +177,7 @@ def _jsonable(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None  # strict JSON has no NaN
     if isinstance(v, (int, np.integer)):
         return int(v)
     return v
@@ -184,7 +186,7 @@ def _jsonable(v):
 def _render(cols, rows, fmt: str) -> str:
     if fmt == "json":
         doc = {"columns": list(cols), "rows": [[_jsonable(v) for v in r] for r in rows]}
-        return json.dumps(doc, separators=(",", ":")) + "\n"
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     lines = [",".join(cols)]
     lines.extend(",".join(_fmt(v) for v in r) for r in rows)
     return "\n".join(lines) + "\n"
@@ -320,10 +322,8 @@ def cmd_error_map(args, cfg) -> int:
         for i in range(points)
     ]
     finite = res.max_error_m[np.isfinite(res.max_error_m)]
-    summary = (
-        f"max error {finite.max():.2f} m, mean {finite.mean():.2f} m over {points} targets "
-        f"({int(res.failed_solves.sum())} failed solves)"
-    )
+    errors = f"max error {finite.max():.2f} m, mean {finite.mean():.2f} m" if finite.size else "no fix"
+    summary = f"{errors} over {points} targets ({int(res.failed_solves.sum())} failed solves)"
     _emit(cols, rows, summary, args)
     return EXIT_OK
 

@@ -26,7 +26,6 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .counter import CounterConfig, ProcessorClock
 from .geometry import Position, SyncNodeConfig
-from .solver import ToAObservation
 
 
 class DegenerateSyncTimingError(ValueError):
@@ -100,13 +99,6 @@ def sync_offset(sync: SyncNodeConfig, gw: Position, t_d_s: float) -> float:
     return num / (SPEED_OF_LIGHT * SPEED_OF_LIGHT * t_d_s)
 
 
-def ideal_error_bound(period_s: float) -> float:
-    """Worst-case timestamp error in the ideal mode: one counter period."""
-    if not (period_s > 0):
-        raise ValueError(f"period_s must be positive, got {period_s!r}")
-    return period_s
-
-
 def sample_error(
     params: ErrorModelParams,
     count: int,
@@ -137,17 +129,3 @@ def sample_error(
         rounding_s=rounding,
         slippage_s=slippage,
     )
-
-
-def sign_permutations(toa: ToAObservation, e_s: float) -> tuple[ToAObservation, ...]:
-    """All 8 observations reachable by shifting each timestamp by +/- ``e_s``.
-
-    Worst-case analysis uses these to bracket what a bounded timing error of
-    magnitude ``e_s`` can do to the position fix.
-    """
-    if e_s < 0:
-        raise ValueError(f"e_s must be non-negative, got {e_s!r}")
-    out = []
-    for s1, s2, s3 in SIGN_PATTERNS:
-        out.append(ToAObservation(toa.t1 + s1 * e_s, toa.t2 + s2 * e_s, toa.t3 + s3 * e_s))
-    return tuple(out)

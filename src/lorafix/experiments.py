@@ -1,6 +1,6 @@
 """Monte Carlo studies over the gateway triangle.
 
-Three numerical experiments plus one design sweep:
+Two Monte Carlo experiments plus two design sweeps:
 
 * ``sweep_emax`` — worst-case localization error as a function of the counter
   period T: each sampled target's arrival times are shifted by +/-T in all
@@ -13,15 +13,20 @@ Three numerical experiments plus one design sweep:
 * ``alpha_bounds`` — the admissible sync-period interval implied by sweeping
   the slowest spreading factor over bandwidth/payload/coding-rate limits.
 
+Both Monte Carlo experiments share one worst-case kernel: the sweep's shift
+magnitudes are its T values, the map's its per-transmission draws.
+
 Reproducibility contract: every random draw is made upfront in the parent
 process from the master seed; workers receive contiguous index slices of
-that pre-drawn state and all reductions happen in the parent. Results are
-therefore bit-identical for any worker count.
+that pre-drawn state, reduce only within a target, and every reduction
+across targets happens in the parent. Results are therefore bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,11 +51,13 @@ class SweepConfig:
     n_points: int = 100_000
     seed: int = 0
     gws: GatewayTriple = field(default_factory=_default_triangle)
-    sigma_bands: bool = True
 
     def __post_init__(self):
-        if not (self.T_range[2] > 0):
-            raise ValueError(f"T step must be positive, got {self.T_range[2]!r}")
+        start, stop, step = self.T_range
+        if not (step > 0):
+            raise ValueError(f"T step must be positive, got {step!r}")
+        if not (stop >= start):
+            raise ValueError(f"T range stop {stop!r} is below its start {start!r}")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points!r}")
 
@@ -100,7 +107,7 @@ class ErrorMapResult:
 
 @dataclass(frozen=True)
 class DutyCycleCell:
-    """One (tau, n) grid cell with its occupancy and feasibility verdicts."""
+    """One (tau, n) grid cell with its occupancy and 10%/1% cap verdicts."""
 
     tau_s: float
     n_bits: int
@@ -108,7 +115,6 @@ class DutyCycleCell:
     delta: float
     feasible_10pct: bool
     feasible_1pct: bool
-    feasible: bool | None = None  # against a caller-supplied cap, if any
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,10 @@ def _t_grid(T_range: tuple[float, float, float]) -> np.ndarray:
 
 
 def _chunk_slices(n: int, workers: int) -> list[slice]:
-    k = max(1, min(int(workers), n))
+    """Contiguous slices of ``range(n)``, one per worker, at most one per CPU."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    k = min(int(workers), n, os.cpu_count() or 1)
     base, rem = divmod(n, k)
     out, start = [], 0
     for i in range(k):
@@ -139,26 +148,43 @@ def _chunk_slices(n: int, workers: int) -> list[slice]:
     return out
 
 
-def _sweep_chunk(pts, t_clean, T_values, gws):
-    """Worst-case errors for one slice of targets, all T values."""
-    n = pts.shape[0]
-    worst = np.empty((len(T_values), n))
-    fails = np.empty((len(T_values), n), dtype=np.int64)
-    for i, T in enumerate(T_values):
-        w = np.full(n, -np.inf)
-        f = np.zeros(n, dtype=np.int64)
+def _map_chunk(pts, t_clean, mags, gws, per_set=True):
+    """Worst-case errors for one slice of targets under K magnitude sets.
+
+    ``mags`` broadcasts to (n, K, 3); set k shifts the arrival times by
+    ``mags[:, k]`` in all 8 sign patterns. Returns worst errors (-inf where
+    every solve failed) and failed-solve counts, of shape (K, n), or (1, n)
+    pooled over all K sets when ``per_set`` is False.
+    """
+    n_sets = mags.shape[1]
+    shape = (n_sets if per_set else 1, pts.shape[0])
+    worst = np.full(shape, -np.inf)
+    fails = np.zeros(shape, dtype=np.int64)
+    for k in range(n_sets):
+        row = k if per_set else 0
         for s in SIGN_PATTERNS:
-            out = solve_closed_form_batch(t_clean + T * s[None, :], gws)
+            out = solve_closed_form_batch(t_clean + s[None, :] * mags[:, k, :], gws)
             err = np.where(out.ok, np.hypot(out.x - pts[:, 0], out.y - pts[:, 1]), -np.inf)
-            w = np.maximum(w, err)
-            f += (~out.ok).astype(np.int64)
-        worst[i] = w
-        fails[i] = f
+            np.maximum(worst[row], err, out=worst[row])
+            fails[row] += ~out.ok
     return worst, fails
 
 
-def _sweep_chunk_call(args):
-    return _sweep_chunk(*args)
+def _map_chunk_call(args):
+    return _map_chunk(*args)
+
+
+def _worst_case(pts, t_clean, mags, gws, workers, per_set=True):
+    """:func:`_map_chunk` over all targets; a (1, K, m) ``mags`` goes whole to each slice."""
+    slices = _chunk_slices(pts.shape[0], workers)
+    if len(slices) == 1:
+        return _map_chunk(pts, t_clean, mags, gws, per_set)
+    jobs = [
+        (pts[s], t_clean[s], mags if len(mags) == 1 else mags[s], gws, per_set) for s in slices
+    ]
+    with ProcessPoolExecutor(max_workers=len(slices)) as ex:
+        parts = list(ex.map(_map_chunk_call, jobs))
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
 
 
 def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
@@ -174,16 +200,7 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points_in_triangle(cfg.gws, cfg.n_points, rng)
     t_clean = forward_toa_batch(pts, cfg.gws, 0.0)
-
-    slices = _chunk_slices(cfg.n_points, workers)
-    if len(slices) == 1:
-        parts = [_sweep_chunk(pts, t_clean, T_values, cfg.gws)]
-    else:
-        jobs = [(pts[s], t_clean[s], T_values, cfg.gws) for s in slices]
-        with ProcessPoolExecutor(max_workers=len(slices)) as ex:
-            parts = list(ex.map(_sweep_chunk_call, jobs))
-    worst = np.concatenate([p[0] for p in parts], axis=1)
-    fails = np.concatenate([p[1] for p in parts], axis=1)
+    worst, fails = _worst_case(pts, t_clean, T_values[None, :, None], cfg.gws, workers)
 
     valid = np.isfinite(worst)  # -inf rows are targets whose 8 solves all failed
     e_max = np.empty(len(T_values))
@@ -199,25 +216,6 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
         failed_solves=fails.sum(axis=1),
         n_points=cfg.n_points,
     )
-
-
-def _map_chunk(pts, t_clean, errs, gws):
-    """Worst-case error for one slice of targets over all transmissions."""
-    m = pts.shape[0]
-    worst = np.full(m, -np.inf)
-    fails = np.zeros(m, dtype=np.int64)
-    for k in range(errs.shape[1]):
-        e = errs[:, k, :]
-        for s in SIGN_PATTERNS:
-            out = solve_closed_form_batch(t_clean + s[None, :] * e, gws)
-            err = np.where(out.ok, np.hypot(out.x - pts[:, 0], out.y - pts[:, 1]), -np.inf)
-            worst = np.maximum(worst, err)
-            fails += (~out.ok).astype(np.int64)
-    return worst, fails
-
-
-def _map_chunk_call(args):
-    return _map_chunk(*args)
 
 
 def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
@@ -239,27 +237,16 @@ def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
             f"arrival times reach {t_clean.max():.3e} s, past the counter span {span:.3e} s"
         )
 
-    slices = _chunk_slices(cfg.n_points, workers)
-    if len(slices) == 1:
-        parts = [_map_chunk(pts, t_clean, errs, cfg.gws)]
-    else:
-        jobs = [(pts[s], t_clean[s], errs[s], cfg.gws) for s in slices]
-        with ProcessPoolExecutor(max_workers=len(slices)) as ex:
-            parts = list(ex.map(_map_chunk_call, jobs))
-    worst = np.concatenate([p[0] for p in parts])
-    fails = np.concatenate([p[1] for p in parts])
-    worst = np.where(np.isfinite(worst), worst, math.nan)
-    return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails, T_s=cfg.T_s)
+    worst, fails = _worst_case(pts, t_clean, errs, cfg.gws, workers, per_set=False)
+    worst = np.where(np.isfinite(worst[0]), worst[0], math.nan)
+    return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails[0], T_s=cfg.T_s)
 
 
-def duty_cycle_grid(
-    tau_values, n_values, T_s: float, delta_max: float | None = None
-) -> list[DutyCycleCell]:
+def duty_cycle_grid(tau_values, n_values, T_s: float) -> list[DutyCycleCell]:
     """Occupancy ratio and cap feasibility over a (tau, n) grid.
 
-    Every cell's delta comes from :func:`lorafix.lora_phy.duty_cycle`; the
-    10% and 1% preset verdicts are always included, and ``delta_max`` adds
-    a verdict against a custom cap when given.
+    Every cell's delta comes from :func:`lorafix.lora_phy.duty_cycle`, with
+    its verdicts against the 10% and 1% regulatory caps.
     """
     cells = []
     for tau in tau_values:
@@ -273,7 +260,6 @@ def duty_cycle_grid(
                     delta=d,
                     feasible_10pct=d <= 0.10,
                     feasible_1pct=d <= 0.01,
-                    feasible=None if delta_max is None else d <= delta_max,
                 )
             )
     return cells
@@ -298,6 +284,7 @@ def alpha_bounds(
     extreme packet durations together with the configurations attaining
     them. A sync period must be at least the longest packet and gains
     nothing below the shortest, so [tau_min, tau_max] brackets the design.
+    Raises ValueError when the cross product is empty.
     """
     caps = dict(DEFAULT_PL_CAPS if pl_caps is None else pl_caps)
     if bw_set is not None:
@@ -322,6 +309,10 @@ def alpha_bounds(
                     best_min = (tau, p)
                 if best_max is None or tau > best_max[0]:
                     best_max = (tau, p)
+    if best_min is None:
+        raise ValueError(
+            "alpha_bounds: the bandwidth x coding-rate x payload cross product is empty"
+        )
     return AlphaBounds(
         tau_min_s=best_min[0], tau_max_s=best_max[0], argmin=best_min[1], argmax=best_max[1]
     )

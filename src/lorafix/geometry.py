@@ -137,30 +137,29 @@ def circumcenter(triple: GatewayTriple) -> Position:
     return Position(ux, uy)
 
 
-def barycentric(triple: GatewayTriple, p: Position) -> tuple[float, float, float]:
-    """Barycentric coordinates of ``p`` with respect to the gateway triangle."""
-    area2 = _twice_signed_area(triple.g1, triple.g2, triple.g3)
-    w1 = _twice_signed_area(p, triple.g2, triple.g3) / area2
-    w2 = _twice_signed_area(triple.g1, p, triple.g3) / area2
-    w3 = 1.0 - w1 - w2
-    return (w1, w2, w3)
+def barycentric(triple: GatewayTriple, p) -> tuple:
+    """Barycentric coordinates of ``p`` with respect to the gateway triangle.
+
+    ``p`` is a Position, or an (x, y) pair of coordinate arrays for which
+    the three weights come back as arrays.
+    """
+    x, y = (p.x, p.y) if isinstance(p, Position) else p
+    g1, g2, g3 = triple.g1, triple.g2, triple.g3
+    area2 = _twice_signed_area(g1, g2, g3)
+    w1 = ((g2.x - x) * (g3.y - y) - (g3.x - x) * (g2.y - y)) / area2
+    w2 = ((x - g1.x) * (g3.y - g1.y) - (g3.x - g1.x) * (y - g1.y)) / area2
+    return (w1, w2, 1.0 - w1 - w2)
 
 
-def contains(triple: GatewayTriple, p: Position, *, strict: bool = False) -> bool:
-    """Whether ``p`` lies inside the gateway triangle.
+def contains(triple: GatewayTriple, p, *, strict: bool = False):
+    """Whether ``p`` (a Position or an (x, y) array pair) lies inside the triangle.
 
     With ``strict=True`` points on the boundary do not count.
     """
     w1, w2, w3 = barycentric(triple, p)
     if strict:
-        return w1 > 0.0 and w2 > 0.0 and w3 > 0.0
-    return w1 >= 0.0 and w2 >= 0.0 and w3 >= 0.0
-
-
-def sample_in_triangle(triple: GatewayTriple, rng: np.random.Generator) -> Position:
-    """Draw one point uniformly from the interior of the gateway triangle."""
-    pt = sample_points_in_triangle(triple, 1, rng)
-    return Position(float(pt[0, 0]), float(pt[0, 1]))
+        return (w1 > 0.0) & (w2 > 0.0) & (w3 > 0.0)
+    return (w1 >= 0.0) & (w2 >= 0.0) & (w3 >= 0.0)
 
 
 def sample_points_in_triangle(

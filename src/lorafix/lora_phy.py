@@ -71,27 +71,6 @@ class RadioParams:
             raise ValueError(f"low_dr_opt must be 0 or 1, got {self.low_dr_opt!r}")
 
 
-@dataclass(frozen=True)
-class DutyCyclePreset:
-    """A named regulatory duty-cycle cap."""
-
-    name: str
-    delta_max: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta_max <= 1.0):
-            raise ValueError(f"delta_max must be in (0, 1], got {self.delta_max!r}")
-
-
-# Regional regulation caps span 0.1% to 10%; shipped as generic presets since
-# the exact cap depends on band and region.
-DUTY_CYCLE_PRESETS = (
-    DutyCyclePreset("dc-0.1pct", 0.001),
-    DutyCyclePreset("dc-1pct", 0.01),
-    DutyCyclePreset("dc-10pct", 0.1),
-)
-
-
 def low_dr_opt_auto(sf: int, bw_hz: int) -> int:
     """Default DE flag: 1 iff the symbol duration exceeds 16 ms."""
     return 1 if (2**sf) / bw_hz > LOW_DR_OPT_SYMBOL_THRESHOLD_S else 0

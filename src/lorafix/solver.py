@@ -32,7 +32,9 @@ independent solution routes are implemented and cross-validated:
 
 Both routes produce (up to) two algebraic candidates; the physical one is
 chosen by the smallest range residual, with a tie broken in favor of the
-candidate inside the gateway triangle.
+candidate inside the gateway triangle. The scalar selector of the analytic
+route and the vectorized one of the batch route share the tie tolerance
+(``_res_tie_tol``) and the containment test (:func:`lorafix.geometry.contains`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ _RES_TIE_M = 1e-9
 _RES_TIE_QUAD_PER_M = 1e-15
 
 
-def _res_tie_tol(t_max_s: float) -> float:
+def _res_tie_tol(t_max_s):
     return _RES_TIE_M + _RES_TIE_QUAD_PER_M * (SPEED_OF_LIGHT * t_max_s) ** 2
 
 # |det| below this relative threshold marks an unsolvable geometry.
@@ -395,16 +397,16 @@ def solve_closed_form_batch(
 
     pick = np.argmin(eff, axis=1)
     both_finite = np.isfinite(eff).all(axis=1)
-    tie_tol = _RES_TIE_M + _RES_TIE_QUAD_PER_M * (c * np.max(np.abs(t), axis=1)) ** 2
+    tie_tol = _res_tie_tol(np.max(np.abs(t), axis=1))
     tie = both_finite & (np.abs(eff[:, 0] - eff[:, 1]) < tie_tol)
     if np.any(tie):
         # Same deployment prior as the scalar path: inside the triangle
         # first, then nearer the centroid.
-        in0 = _inside_mask(x[:, 0], y[:, 0], g)
-        in1 = _inside_mask(x[:, 1], y[:, 1], g)
         cx = g[:, 0].mean()
         cy = g[:, 1].mean()
         with np.errstate(invalid="ignore"):
+            in0 = contains(gws, (x[:, 0], y[:, 0]))
+            in1 = contains(gws, (x[:, 1], y[:, 1]))
             cd0 = np.hypot(x[:, 0] - cx, y[:, 0] - cy)
             cd1 = np.hypot(x[:, 1] - cx, y[:, 1] - cy)
         better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
@@ -424,18 +426,6 @@ def solve_closed_form_batch(
         root_index=pick.astype(np.int8),
         ok=ok,
     )
-
-
-def _inside_mask(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Vectorized point-in-triangle test (boundary counts as inside)."""
-    area2 = (g[1, 0] - g[0, 0]) * (g[2, 1] - g[0, 1]) - (g[2, 0] - g[0, 0]) * (
-        g[1, 1] - g[0, 1]
-    )
-    w1 = ((g[1, 0] - x) * (g[2, 1] - y) - (g[2, 0] - x) * (g[1, 1] - y)) / area2
-    w2 = ((x - g[0, 0]) * (g[2, 1] - g[0, 1]) - (g[2, 0] - g[0, 0]) * (y - g[0, 1])) / area2
-    w3 = 1.0 - w1 - w2
-    with np.errstate(invalid="ignore"):
-        return (w1 >= 0.0) & (w2 >= 0.0) & (w3 >= 0.0)
 
 
 def solve_closed_form(

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from lorafix import Position, canonical_triangle, forward_toa
+from lorafix.cli import _render
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S, NO_REAL_ROOT_OBS
 
@@ -120,6 +121,12 @@ class TestAlphaBounds:
         assert float(vals[1]) == pytest.approx(ALPHA_ORACLE_MAX_S, abs=1e-9)
         assert vals[3] == "sf=12 bw=125000 cr=4 pl=51 de=1"
 
+    def test_empty_coding_rate_range_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, {"alpha": {"cr": [4, 1]}})
+        r = run_cli("alpha-bounds", "--config", cfg)
+        assert r.returncode == 1
+        assert "cross product is empty" in r.stderr
+
 
 class TestDutyCycleGrid:
     def test_grid_row_values(self):
@@ -131,6 +138,47 @@ class TestDutyCycleGrid:
         assert row["tau_s"] == "1"
         assert float(row["delta"]) == pytest.approx(1.0 / 171.79869184, rel=1e-9)
         assert row["feasible_1pct"] == "true"
+
+
+class TestSweepRange:
+    def test_stop_below_start_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {"start_ns": 20, "stop_ns": 10, "points": 50}})
+        r = run_cli("sweep-emax", "--config", cfg, "--seed", "1")
+        assert r.returncode == 1
+        assert "below its start" in r.stderr
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command, workers", [("sweep-emax", "0"), ("error-map", "-3")])
+    def test_nonpositive_workers_exit_1(self, command, workers):
+        r = run_cli(command, "--seed", "1", "--points", "20", "--workers", workers)
+        assert r.returncode == 1
+        assert "workers must be >= 1" in r.stderr
+
+
+class TestStrictJson:
+    def test_nan_row_renders_null(self):
+        text = _render(["T_s", "e_max_m"], [[4e-8, float("nan")], [8e-8, 1.5]], "json")
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert json.loads(text, parse_constant=reject)["rows"] == [[4e-8, None], [8e-8, 1.5]]
+
+    def test_error_map_with_every_solve_failed(self):
+        # At 1 cm the 40 ns shifts (12 m) leave no hyperbola pair intersecting.
+        r = run_cli(
+            "error-map", "--diameter-m", "0.01", "--points", "3", "--transmissions", "1",
+            "--seed", "2", "--format", "json",
+        )  # fmt: skip
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout, parse_constant=lambda name: pytest.fail(name))
+        assert [row[2:] for row in doc["rows"]] == [[None, 8]] * 3
+        assert "no fix" in r.stderr
+
+    def test_csv_keeps_nan(self):
+        text = _render(["T_s", "e_max_m"], [[4e-8, float("nan")]], "csv")
+        assert text == "T_s,e_max_m\n4.0000000000000001e-08,nan\n"
 
 
 class TestSeedResolution:

@@ -6,16 +6,14 @@ import pytest
 from scipy import stats
 
 from lorafix import (
+    SIGN_PATTERNS,
     SPEED_OF_LIGHT,
     CounterConfig,
     DegenerateSyncTimingError,
     ErrorModelParams,
     Position,
     SyncNodeConfig,
-    ToAObservation,
-    ideal_error_bound,
     sample_error,
-    sign_permutations,
     sync_offset,
 )
 
@@ -49,12 +47,6 @@ class TestSyncOffset:
         sync = SyncNodeConfig(pos=Position(0.0, 0.0), pos_error=(0.1, 0.0))
         with pytest.raises(DegenerateSyncTimingError):
             sync_offset(sync, Position(0.0, 0.0), 0.0)
-
-
-def test_ideal_error_bound():
-    assert ideal_error_bound(40e-9) == 40e-9
-    with pytest.raises(ValueError):
-        ideal_error_bound(0.0)
 
 
 class TestSampleError:
@@ -137,28 +129,8 @@ def test_params_validation():
         ErrorModelParams(max_slippages=-1)
 
 
-class TestSignPermutations:
-    def test_count_and_order(self):
-        obs = ToAObservation(0.0, 0.0, 0.0)
-        out = sign_permutations(obs, 1.0)
-        assert len(out) == 8
-        got = {(o.t1, o.t2, o.t3) for o in out}
-        assert got == set(itertools.product((1.0, -1.0), repeat=3))
-
-    def test_exact_shift(self):
-        obs = ToAObservation(1e-5, 2e-5, 3e-5)
-        e = 40e-9
-        out = sign_permutations(obs, e)
-        for o, (s1, s2, s3) in zip(out, itertools.product((1.0, -1.0), repeat=3)):
-            assert o.t1 == obs.t1 + s1 * e
-            assert o.t2 == obs.t2 + s2 * e
-            assert o.t3 == obs.t3 + s3 * e
-
-    def test_zero_magnitude_is_identity(self):
-        obs = ToAObservation(1e-5, 2e-5, 3e-5)
-        for o in sign_permutations(obs, 0.0):
-            assert (o.t1, o.t2, o.t3) == (obs.t1, obs.t2, obs.t3)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            sign_permutations(ToAObservation(0.0, 0.0, 0.0), -1e-9)
+def test_sign_patterns_order():
+    """8 distinct +/-1 rows, in itertools.product((1, -1), repeat=3) order."""
+    assert SIGN_PATTERNS.shape == (8, 3)
+    assert [tuple(r) for r in SIGN_PATTERNS] == list(itertools.product((1.0, -1.0), repeat=3))
+    assert len({tuple(r) for r in SIGN_PATTERNS}) == 8

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,9 +14,11 @@ from lorafix import (
     duty_cycle,
     duty_cycle_grid,
     error_map,
+    forward_toa_batch,
+    sample_points_in_triangle,
     sweep_emax,
 )
-from lorafix.experiments import _chunk_slices, _t_grid
+from lorafix.experiments import _chunk_slices, _map_chunk, _t_grid
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S
 
@@ -34,6 +38,35 @@ def test_chunk_slices_cover_range():
         slices = _chunk_slices(n, w)
         idx = np.concatenate([np.arange(n)[s] for s in slices])
         assert np.array_equal(idx, np.arange(n))
+
+
+def test_chunk_slices_capped_at_cpu_count():
+    # Only the slicing is exercised: no process is started.
+    slices = _chunk_slices(10**7, 10**6)
+    assert len(slices) == min(10**6, os.cpu_count() or 1)
+    assert slices[0].start == 0 and slices[-1].stop == 10**7
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_chunk_slices_reject_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        _chunk_slices(10, workers)
+
+
+def test_kernel_shared_magnitudes_match_broadcast():
+    """One (1, K, 1) magnitude set per T gives the bits of its (n, K, 3) copy."""
+    gws = canonical_triangle(10000.0)
+    pts = sample_points_in_triangle(gws, 300, np.random.default_rng(8))
+    t_clean = forward_toa_batch(pts, gws)
+    T_values = _t_grid((10e-9, 40e-9, 10e-9))
+    shared = _map_chunk(pts, t_clean, T_values[None, :, None], gws)
+    full = _map_chunk(pts, t_clean, np.broadcast_to(T_values[None, :, None], (300, 4, 3)), gws)
+    assert shared[0].shape == shared[1].shape == (4, 300)
+    assert np.array_equal(shared[0], full[0])
+    assert np.array_equal(shared[1], full[1])
+    pooled = _map_chunk(pts, t_clean, T_values[None, :, None], gws, per_set=False)
+    assert np.array_equal(pooled[0], shared[0].max(axis=0, keepdims=True))
+    assert np.array_equal(pooled[1], shared[1].sum(axis=0, keepdims=True))
 
 
 class TestSweepEmax:
@@ -71,6 +104,10 @@ class TestSweepEmax:
             assert np.array_equal(base.e_max_m, par.e_max_m)
             assert np.array_equal(base.sigma_m, par.sigma_m)
             assert np.array_equal(base.failed_solves, par.failed_solves)
+
+    def test_stop_below_start_rejected(self):
+        with pytest.raises(ValueError, match="below its start"):
+            SweepConfig(T_range=(20e-9, 10e-9, 2.5e-9))
 
     def test_band(self):
         res = sweep_emax(SMALL_SWEEP)
@@ -123,7 +160,6 @@ class TestDutyCycleGrid:
         assert len(cells) == 9
         for cell in cells:
             assert cell.delta == duty_cycle(cell.tau_s, cell.n_bits, cell.T_s)
-            assert cell.feasible is None
 
     def test_reference_cell(self):
         (cell,) = duty_cycle_grid([1.0], [32], 40e-9)
@@ -141,12 +177,6 @@ class TestDutyCycleGrid:
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         flips = [c.feasible_1pct for c in cells]
         assert flips == sorted(flips)  # False ... False True ... True
-
-    def test_custom_cap(self):
-        (cell,) = duty_cycle_grid([1.0], [32], 40e-9, delta_max=0.001)
-        assert cell.feasible is False
-        (cell,) = duty_cycle_grid([0.1], [32], 40e-9, delta_max=0.001)
-        assert cell.feasible is True
 
 
 class TestAlphaBounds:
@@ -173,6 +203,13 @@ class TestAlphaBounds:
         assert res.argmin.bw_hz == 125000
         assert res.tau_max_s == pytest.approx(ALPHA_ORACLE_MAX_S, abs=1e-9)
         assert res.tau_min_s > ALPHA_ORACLE_MIN_S
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"cr_range": range(4, 2)}, {"pl_caps": {}}, {"pl_caps": {125000: 0}}]
+    )
+    def test_empty_design_space_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="cross product is empty"):
+            alpha_bounds(**kwargs)
 
     def test_default_caps(self):
         assert DEFAULT_PL_CAPS == {125000: 51, 250000: 51, 500000: 33}

@@ -13,7 +13,6 @@ from lorafix import (
     circumcenter,
     contains,
     distance,
-    sample_in_triangle,
     sample_points_in_triangle,
 )
 
@@ -154,13 +153,27 @@ def test_contains():
     assert not contains(tri, tri.g1, strict=True)
 
 
+def test_array_containment_matches_scalar():
+    tri = canonical_triangle(10000.0)
+    rng = np.random.default_rng(30)
+    xs = np.concatenate([rng.uniform(-6000.0, 6000.0, 500), [tri.g1.x, np.nan]])
+    ys = np.concatenate([rng.uniform(-6000.0, 6000.0, 500), [tri.g1.y, np.nan]])
+    w = barycentric(tri, (xs, ys))
+    for strict in (False, True):
+        inside = contains(tri, (xs, ys), strict=strict)
+        for i in range(500):
+            p = Position(xs[i], ys[i])
+            assert tuple(wk[i] for wk in w) == barycentric(tri, p)
+            assert inside[i] == contains(tri, p, strict=strict)
+        assert inside[500] == (not strict)
+        assert not inside[501]
+
+
 class TestSampling:
     def test_samples_strictly_interior(self):
         tri = canonical_triangle(10000.0)
-        rng = np.random.default_rng(31)
-        for _ in range(2000):
-            p = sample_in_triangle(tri, rng)
-            assert contains(tri, p, strict=True)
+        pts = sample_points_in_triangle(tri, 2000, np.random.default_rng(31))
+        assert np.all(contains(tri, (pts[:, 0], pts[:, 1]), strict=True))
 
     def test_batch_matches_containment(self):
         tri = canonical_triangle(10000.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lorafix import (
-    DUTY_CYCLE_PRESETS,
     RadioParams,
     duty_cycle,
     low_dr_opt_auto,
@@ -180,10 +179,3 @@ class TestDutyCycle:
             duty_cycle(1.0, 0, 40e-9)
         with pytest.raises(ValueError):
             duty_cycle(1.0, 32, 0.0)
-
-
-def test_duty_cycle_presets():
-    limits = {p.delta_max for p in DUTY_CYCLE_PRESETS}
-    assert limits == {0.001, 0.01, 0.1}
-    for p in DUTY_CYCLE_PRESETS:
-        assert p.name
