@@ -111,11 +111,27 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _num(value, key: str, kind=float):
+    """Config ``value`` at dotted ``key`` as ``kind`` (int or float).
+
+    JSON numbers only: a bool, a string or null is a ConfigError, and so is
+    a fractional value where an integer is expected.
+    """
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if not ok or isinstance(value, bool):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _resolve_seed(args, cfg) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if cfg.get("seed") is not None:
-        return int(cfg["seed"])
+        return _num(cfg["seed"], "seed", int)
     env = os.environ.get("LORAFIX_SEED")
     if env is not None and env != "":
         try:
@@ -133,14 +149,22 @@ def _geometry(args, cfg) -> GatewayTriple:
         gws = geo["gateways"]
         if len(gws) != 3:
             raise ConfigError(f"geometry.gateways needs exactly 3 entries, got {len(gws)}")
-        return GatewayTriple(*(Position(float(x), float(y)) for x, y in gws))
-    return canonical_triangle(float(geo["diameter_m"]))
+        return GatewayTriple(
+            *(
+                Position(
+                    _num(x, f"geometry.gateways[{i}][0]"), _num(y, f"geometry.gateways[{i}][1]")
+                )
+                for i, (x, y) in enumerate(gws)
+            )
+        )
+    return canonical_triangle(_num(geo["diameter_m"], "geometry.diameter_m"))
 
 
 def _counter(args, cfg) -> CounterConfig:
-    n_bits = args.n_bits if getattr(args, "n_bits", None) is not None else cfg["counter"]["n_bits"]
-    T_ns = args.T_ns if getattr(args, "T_ns", None) is not None else cfg["counter"]["T_ns"]
-    return CounterConfig(int(n_bits), float(T_ns) * 1e-9)
+    c = cfg["counter"]
+    n_bits = args.n_bits if getattr(args, "n_bits", None) is not None else c["n_bits"]
+    T_ns = args.T_ns if getattr(args, "T_ns", None) is not None else c["T_ns"]
+    return CounterConfig(_num(n_bits, "counter.n_bits", int), _num(T_ns, "counter.T_ns") * 1e-9)
 
 
 def _radio(args, cfg) -> RadioParams:
@@ -149,17 +173,17 @@ def _radio(args, cfg) -> RadioParams:
     bw = args.bw_hz if getattr(args, "bw_hz", None) is not None else r["bw_hz"]
     cr = args.cr if getattr(args, "cr", None) is not None else r["cr"]
     pl = args.payload if getattr(args, "payload", None) is not None else r["payload"]
+    sf = _num(sf, "radio.sf", int)
+    bw = _num(bw, "radio.bw_hz", int)
     de = r["low_dr_opt"]
-    if de is None:
-        de = low_dr_opt_auto(int(sf), int(bw))
     return RadioParams(
-        sf=int(sf),
-        bw_hz=int(bw),
-        cr=int(cr),
-        payload_len=int(pl),
-        n_preamble=int(r["preamble"]),
-        header_disabled=int(r["header_disabled"]),
-        low_dr_opt=int(de),
+        sf=sf,
+        bw_hz=bw,
+        cr=_num(cr, "radio.cr", int),
+        payload_len=_num(pl, "radio.payload", int),
+        n_preamble=_num(r["preamble"], "radio.preamble", int),
+        header_disabled=_num(r["header_disabled"], "radio.header_disabled", int),
+        low_dr_opt=low_dr_opt_auto(sf, bw) if de is None else _num(de, "radio.low_dr_opt", int),
     )
 
 
@@ -214,7 +238,7 @@ def cmd_solve(args, cfg) -> int:
     if len(toa) != 3:
         raise ConfigError(f"solve needs exactly 3 ToA values, got {len(toa)}")
     gws = _geometry(args, cfg)
-    est = solve_analytic(ToAObservation(*(float(t) for t in toa)), gws)
+    est = solve_analytic(ToAObservation(*(_num(t, f"toa[{i}]") for i, t in enumerate(toa))), gws)
     cols = ["x_m", "y_m", "t0_s", "residual_m", "root_index"]
     rows = [[est.pos.x, est.pos.y, est.t0_s, est.residual_m, est.root_index]]
     summary = (
@@ -253,10 +277,10 @@ def cmd_sweep_emax(args, cfg) -> int:
     seed = _resolve_seed(args, cfg)
     gws = _geometry(args, cfg)
     sw = cfg["sweep"]
-    points = args.points if args.points is not None else int(sw["points"])
-    T_range = (float(sw["start_ns"]) * 1e-9, float(sw["stop_ns"]) * 1e-9, float(sw["step_ns"]) * 1e-9)
+    points = args.points if args.points is not None else _num(sw["points"], "sweep.points", int)
+    T_range = tuple(_num(sw[k], f"sweep.{k}") * 1e-9 for k in ("start_ns", "stop_ns", "step_ns"))
     scfg = SweepConfig(T_range=T_range, n_points=points, seed=seed, gws=gws)
-    workers = args.workers if args.workers is not None else int(cfg["workers"])
+    workers = args.workers if args.workers is not None else _num(cfg["workers"], "workers", int)
     _progress(f"sweep-emax: {points} targets, T {sw['start_ns']}..{sw['stop_ns']} ns, workers={workers}")
     res = sweep_emax(scfg, workers=workers)
     cols = ["T_s", "e_max_m", "sigma_m", "failed_solves"]
@@ -265,7 +289,7 @@ def cmd_sweep_emax(args, cfg) -> int:
         for i in range(len(res.T_s))
     ]
     anchor_ns = args.T_ns if args.T_ns is not None else cfg["counter"]["T_ns"]
-    idx = int(np.argmin(np.abs(res.T_s - float(anchor_ns) * 1e-9)))
+    idx = int(np.argmin(np.abs(res.T_s - _num(anchor_ns, "counter.T_ns") * 1e-9)))
     summary = (
         f"e_max(T={res.T_s[idx] * 1e9:g} ns) = {res.e_max_m[idx]:.2f} m "
         f"(sigma {res.sigma_m[idx]:.2f} m) over {points} targets"
@@ -277,8 +301,8 @@ def cmd_sweep_emax(args, cfg) -> int:
 def cmd_dutycycle_grid(args, cfg) -> int:
     grid = cfg["grid"]
     ctr = _counter(args, cfg)
-    tau_values = [float(t) for t in grid["tau_s"]]
-    n_values = [int(n) for n in grid["n_bits"]]
+    tau_values = [_num(t, f"grid.tau_s[{i}]") for i, t in enumerate(grid["tau_s"])]
+    n_values = [_num(n, f"grid.n_bits[{i}]", int) for i, n in enumerate(grid["n_bits"])]
     if args.n_bits is not None:
         n_values = [int(args.n_bits)]
     cells = duty_cycle_grid(tau_values, n_values, ctr.period_s)
@@ -298,9 +322,11 @@ def cmd_error_map(args, cfg) -> int:
     gws = _geometry(args, cfg)
     ctr = _counter(args, cfg)
     m = cfg["map"]
-    points = args.points if args.points is not None else int(m["points"])
+    points = args.points if args.points is not None else _num(m["points"], "map.points", int)
     transmissions = (
-        args.transmissions if args.transmissions is not None else int(m["transmissions"])
+        args.transmissions
+        if args.transmissions is not None
+        else _num(m["transmissions"], "map.transmissions", int)
     )
     mcfg = ErrorMapConfig(
         T_s=ctr.period_s,
@@ -310,7 +336,7 @@ def cmd_error_map(args, cfg) -> int:
         seed=seed,
         gws=gws,
     )
-    workers = args.workers if args.workers is not None else int(cfg["workers"])
+    workers = args.workers if args.workers is not None else _num(cfg["workers"], "workers", int)
     _progress(
         f"error-map: {points} targets x {transmissions} transmissions, "
         f"T={ctr.period_s:.3e} s, workers={workers}"
@@ -330,11 +356,15 @@ def cmd_error_map(args, cfg) -> int:
 
 def cmd_alpha_bounds(args, cfg) -> int:
     a = cfg["alpha"]
-    sf = args.sf if getattr(args, "sf", None) is not None else int(a["sf"])
-    caps = {int(bw): int(cap) for bw, cap in a["pl_caps"].items()}
-    cr_lo, cr_hi = (int(a["cr"][0]), int(a["cr"][-1]))
+    sf = args.sf if getattr(args, "sf", None) is not None else _num(a["sf"], "alpha.sf", int)
+    caps = {int(bw): _num(cap, f"alpha.pl_caps.{bw}", int) for bw, cap in a["pl_caps"].items()}
+    cr_lo = _num(a["cr"][0], "alpha.cr[0]", int)
+    cr_hi = _num(a["cr"][-1], f"alpha.cr[{len(a['cr']) - 1}]", int)
     bounds = alpha_bounds(
-        sf=sf, pl_caps=caps, cr_range=range(cr_lo, cr_hi + 1), n_preamble=int(a["preamble"])
+        sf=sf,
+        pl_caps=caps,
+        cr_range=range(cr_lo, cr_hi + 1),
+        n_preamble=_num(a["preamble"], "alpha.preamble", int),
     )
 
     def _params_str(p: RadioParams) -> str:

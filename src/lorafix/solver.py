@@ -365,63 +365,68 @@ def solve_closed_form_batch(
     qb = 2.0 * (fx * xl + fy * yl)
     qc = fx * fx + fy * fy
 
-    disc = qb * qb - 4.0 * qa * qc
-    graze_tol = _NEG_DISC_RTOL * np.maximum(qb * qb, np.abs(4.0 * qa * qc))
+    qb2 = qb * qb
+    qac4 = 4.0 * qa * qc
+    disc = qb2 - qac4
+    graze_tol = _NEG_DISC_RTOL * np.maximum(qb2, np.abs(qac4))
     no_root = disc < -graze_tol
     disc = np.where(disc < 0.0, 0.0, disc)
     sq = np.sqrt(disc)
     q = -0.5 * (qb + np.copysign(sq, qb))
+    d1 = np.empty((t.shape[0], 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.stack([q / qa, qc / q], axis=1)
+        np.divide(q, qa, out=d1[:, 0])
+        np.divide(qc, q, out=d1[:, 1])
 
     x = xc[:, None] + xl[:, None] * d1
     y = yc[:, None] + yl[:, None] * d1
     t0 = t[:, 0][:, None] - d1 / c
     t0 = np.where(np.abs(t0) < _T0_CLAMP_S, 0.0, t0)
 
-    # Per-candidate RMS range residual.
+    # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
+    # is, so it alone marks the bad candidates.
     with np.errstate(invalid="ignore"):
         ssq = np.zeros_like(d1)
         for j in range(3):
-            dj = np.hypot(x - g[j, 0], y - g[j, 1])
-            r = dj - c * (t[:, j][:, None] - t0)
+            r = np.hypot(x - g[j, 0], y - g[j, 1])
+            r -= c * (t[:, j][:, None] - t0)
             ssq += r * r
         res = np.sqrt(ssq / 3.0)
-    bad_cand = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t0) & np.isfinite(res))
-    res = np.where(bad_cand, np.inf, res)
+    bad_cand = ~np.isfinite(res)
+    res[bad_cand] = np.inf
 
     # t0 floor, ignored when it would reject both candidates.
     passes = (t0 >= t0_floor_s) & ~bad_cand
-    any_pass = passes.any(axis=1)
+    any_pass = passes[:, 0] | passes[:, 1]
     eff = np.where(passes | ~any_pass[:, None], res, np.inf)
+    eff0, eff1 = eff[:, 0], eff[:, 1]
 
-    pick = np.argmin(eff, axis=1)
-    both_finite = np.isfinite(eff).all(axis=1)
-    tie_tol = _res_tie_tol(np.max(np.abs(t), axis=1))
-    tie = both_finite & (np.abs(eff[:, 0] - eff[:, 1]) < tie_tol)
-    if np.any(tie):
+    pick = eff1 < eff0
+    t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
+    tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
+    rows = np.flatnonzero(tie)
+    if rows.size:
         # Same deployment prior as the scalar path: inside the triangle
         # first, then nearer the centroid.
         cx = g[:, 0].mean()
         cy = g[:, 1].mean()
+        xt, yt = x[rows], y[rows]
         with np.errstate(invalid="ignore"):
-            in0 = contains(gws, (x[:, 0], y[:, 0]))
-            in1 = contains(gws, (x[:, 1], y[:, 1]))
-            cd0 = np.hypot(x[:, 0] - cx, y[:, 0] - cy)
-            cd1 = np.hypot(x[:, 1] - cx, y[:, 1] - cy)
+            in0 = contains(gws, (xt[:, 0], yt[:, 0]))
+            in1 = contains(gws, (xt[:, 1], yt[:, 1]))
+            cd0 = np.hypot(xt[:, 0] - cx, yt[:, 0] - cy)
+            cd1 = np.hypot(xt[:, 1] - cx, yt[:, 1] - cy)
         better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
         better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
-        pick = np.where(tie & better1, 1, pick)
-        pick = np.where(tie & better0, 0, pick)
+        pick[rows] = np.where(better0, False, better1 | pick[rows])
 
-    rows = np.arange(t.shape[0])
-    sel_res = eff[rows, pick]
+    sel_res = np.where(pick, eff1, eff0)
     ok = np.isfinite(sel_res) & ~no_root
     nan = np.where(ok, 0.0, np.nan)
     return BatchSolveResult(
-        x=x[rows, pick] + nan,
-        y=y[rows, pick] + nan,
-        t0_s=t0[rows, pick] + nan,
+        x=np.where(pick, x[:, 1], x[:, 0]) + nan,
+        y=np.where(pick, y[:, 1], y[:, 0]) + nan,
+        t0_s=np.where(pick, t0[:, 1], t0[:, 0]) + nan,
         residual_m=sel_res + nan,
         root_index=pick.astype(np.int8),
         ok=ok,

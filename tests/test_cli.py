@@ -156,6 +156,60 @@ class TestWorkers:
         assert "workers must be >= 1" in r.stderr
 
 
+class TestConfigTypes:
+    SEEDED = ["--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["sweep-emax", *SEEDED], {"workers": None}, "workers must be an integer, got null"),
+            (["sweep-emax"], {"seed": "x"}, 'seed must be an integer, got "x"'),
+            (
+                ["sweep-emax", *SEEDED],
+                {"sweep": {"points": "abc"}},
+                'sweep.points must be an integer, got "abc"',
+            ),
+            (
+                ["error-map", *SEEDED],
+                {"map": {"transmissions": 2.5}},
+                "map.transmissions must be an integer, got 2.5",
+            ),
+            (
+                ["solve", "1e-4", "1e-4", "1e-4"],
+                {"geometry": {"diameter_m": None}},
+                "geometry.diameter_m must be a number, got null",
+            ),
+            (["solve"], {"toa": [1e-4, "1e-4", 1e-4]}, 'toa[1] must be a number, got "1e-4"'),
+            (
+                ["airtime"],
+                {"counter": {"n_bits": True}},
+                "counter.n_bits must be an integer, got true",
+            ),
+            (["airtime"], {"radio": {"sf": "12"}}, 'radio.sf must be an integer, got "12"'),
+            (
+                ["dutycycle-grid"],
+                {"grid": {"tau_s": [1.0, None]}},
+                "grid.tau_s[1] must be a number, got null",
+            ),
+            (
+                ["alpha-bounds"],
+                {"alpha": {"preamble": False}},
+                "alpha.preamble must be an integer, got false",
+            ),
+        ],
+    )
+    def test_wrong_type_names_key_exit_1(self, tmp_path, argv, doc, message):
+        r = run_cli(*argv, "--config", write_config(tmp_path, doc))
+        assert r.returncode == 1
+        assert r.stderr.strip().endswith(f"error: {message}")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {"points": 20.0, "start_ns": 40, "stop_ns": 40}})
+        r = run_cli("sweep-emax", "--seed", "1", "--config", cfg)
+        assert r.returncode == 0, r.stderr
+        assert "over 20 targets" in r.stderr
+
+
 class TestStrictJson:
     def test_nan_row_renders_null(self):
         text = _render(["T_s", "e_max_m"], [[4e-8, float("nan")], [8e-8, 1.5]], "json")

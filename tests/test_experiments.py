@@ -16,9 +16,11 @@ from lorafix import (
     error_map,
     forward_toa_batch,
     sample_points_in_triangle,
+    solve_closed_form_batch,
     sweep_emax,
 )
-from lorafix.experiments import _chunk_slices, _map_chunk, _t_grid
+from lorafix.error_model import SIGN_PATTERNS
+from lorafix.experiments import _KERNEL_ROWS, _chunk_slices, _map_chunk, _t_grid
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S
 
@@ -67,6 +69,54 @@ def test_kernel_shared_magnitudes_match_broadcast():
     pooled = _map_chunk(pts, t_clean, T_values[None, :, None], gws, per_set=False)
     assert np.array_equal(pooled[0], shared[0].max(axis=0, keepdims=True))
     assert np.array_equal(pooled[1], shared[1].sum(axis=0, keepdims=True))
+
+
+def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
+    """Reference kernel: one solver call over every target per (set, sign pattern)."""
+    n_sets = mags.shape[1]
+    shape = (n_sets if per_set else 1, pts.shape[0])
+    worst = np.full(shape, -np.inf)
+    fails = np.zeros(shape, dtype=np.int64)
+    for k in range(n_sets):
+        row = k if per_set else 0
+        for s in SIGN_PATTERNS:
+            out = solve_closed_form_batch(t_clean + s[None, :] * mags[:, k, :], gws)
+            err = np.where(out.ok, np.hypot(out.x - pts[:, 0], out.y - pts[:, 1]), -np.inf)
+            np.maximum(worst[row], err, out=worst[row])
+            fails[row] += ~out.ok
+    return worst, fails
+
+
+@pytest.mark.parametrize(
+    "diameter_m, n, n_sets",
+    [
+        (10000.0, 300, 4),  # 128-target blocks, the last one partial
+        (10000.0, 5, _KERNEL_ROWS // 8 + 1),  # one target's 8 K rows exceed a block
+        (0.01, 200, 3),  # a 1 cm cell, where solves fail
+    ],
+)
+@pytest.mark.parametrize("per_set", [True, False])
+@pytest.mark.parametrize("shared", [True, False])
+def test_kernel_matches_per_pattern_loop(diameter_m, n, n_sets, per_set, shared):
+    gws = canonical_triangle(diameter_m)
+    rng = np.random.default_rng(12)
+    pts = sample_points_in_triangle(gws, n, rng)
+    t_clean = forward_toa_batch(pts, gws)
+    if shared:
+        mags = np.linspace(10e-9, 60e-9, n_sets)[None, :, None]
+    else:
+        mags = rng.random((n, n_sets, 3)) * 40e-9
+    block = max(1, _KERNEL_ROWS // (8 * n_sets))
+    assert block == 1 or n % block
+    got = _map_chunk(pts, t_clean, mags, gws, per_set)
+    want = _per_pattern_kernel(pts, t_clean, mags, gws, per_set)
+    assert got[0].shape == want[0].shape == (n_sets if per_set else 1, n)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    if diameter_m < 1.0 and not shared:
+        # Equal shifts on all three gateways still give real roots here; the
+        # drawn magnitudes leave most hyperbola pairs without an intersection.
+        assert want[1].sum() > 0
 
 
 class TestSweepEmax:
