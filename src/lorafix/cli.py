@@ -7,6 +7,12 @@ JSON tables are strict JSON: a non-finite value is written as null.
 Output routing: with --out, the data table goes to the file and a short
 human summary to stdout; without --out, the table goes to stdout and the
 summary to stderr. Progress notes always go to stderr.
+
+Config: DEFAULTS, deep-merged with the --config file, then every flag given;
+each override flag's dest is the dotted key it replaces (--points ->
+sweep.points). Commands read values only through ``_get``, which requires
+every section to be an object and types the leaf, and ``_nums`` (non-empty
+number lists); a bad value exits 1 naming its key.
 """
 
 from __future__ import annotations
@@ -78,13 +84,11 @@ DEFAULTS = {
         "tau_s": [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.6],
         "n_bits": [24, 26, 28, 30, 32, 34, 36, 38],
     },
-    "alpha": {
-        "sf": 12,
-        "pl_caps": {"125000": 51, "250000": 51, "500000": 33},
-        "cr": [1, 2, 3, 4],
-        "preamble": 8,
-    },
+    # pl_caps null = experiments.DEFAULT_PL_CAPS; a config map replaces it whole.
+    "alpha": {"sf": 12, "pl_caps": None, "cr": [1, 2, 3, 4], "preamble": 8},
 }
+
+NOT_CONFIG = ("config", "out", "format", "func", "command")  # parser dests that are not keys
 
 
 def _merge(base, override):
@@ -97,9 +101,18 @@ def _merge(base, override):
     return out
 
 
+def _put(cfg: dict, path, value) -> dict:
+    # Copy-on-write (DEFAULTS stays intact); a non-object section is left for _get to report.
+    head, *rest = path
+    if rest and not isinstance(cfg[head], dict):
+        return cfg
+    return {**cfg, head: _put(cfg[head], rest, value) if rest else value}
+
+
 def _load_config(args) -> dict:
+    """DEFAULTS, deep-merged with the --config file, then every flag given."""
     cfg = DEFAULTS
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r") as fh:
             try:
                 user = json.load(fh)
@@ -108,6 +121,9 @@ def _load_config(args) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
+    for key, value in vars(args).items():
+        if key not in NOT_CONFIG and value not in (None, []):
+            cfg = _put(cfg, key.split("."), value)
     return cfg
 
 
@@ -127,13 +143,31 @@ def _num(value, key: str, kind=float):
     return kind(value)
 
 
-def _resolve_seed(args, cfg) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if cfg.get("seed") is not None:
-        return _num(cfg["seed"], "seed", int)
+def _get(cfg: dict, key: str, kind=None):
+    """Value at dotted ``key``, typed by ``_num`` if ``kind``; each section must be an object."""
+    *sections, leaf = key.split(".")
+    for i, name in enumerate(sections):
+        cfg = cfg[name]
+        if not isinstance(cfg, dict):
+            section = ".".join(sections[: i + 1])
+            raise ConfigError(f"{section} must be an object, got {json.dumps(cfg)}")
+    return cfg[leaf] if kind is None else _num(cfg[leaf], key, kind)
+
+
+def _nums(values, key: str, kind=float, n=None) -> list:
+    """``values`` as a non-empty list of ``kind``, exactly ``n`` long if given."""
+    if not isinstance(values, list) or not values or (n and len(values) != n):
+        what = f"a list of {n}" if n else "a non-empty list of"
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{key} must be {what} {noun}, got {json.dumps(values)}")
+    return [_num(v, f"{key}[{i}]", kind) for i, v in enumerate(values)]
+
+
+def _resolve_seed(cfg) -> int:
+    if _get(cfg, "seed") is not None:
+        return _get(cfg, "seed", int)
     env = os.environ.get("LORAFIX_SEED")
-    if env is not None and env != "":
+    if env:
         try:
             return int(env)
         except ValueError as e:
@@ -142,47 +176,32 @@ def _resolve_seed(args, cfg) -> int:
 
 
 def _geometry(args, cfg) -> GatewayTriple:
-    geo = cfg["geometry"]
-    if getattr(args, "diameter_m", None) is not None:
-        return canonical_triangle(args.diameter_m)
-    if geo.get("gateways"):
-        gws = geo["gateways"]
-        if len(gws) != 3:
-            raise ConfigError(f"geometry.gateways needs exactly 3 entries, got {len(gws)}")
-        return GatewayTriple(
-            *(
-                Position(
-                    _num(x, f"geometry.gateways[{i}][0]"), _num(y, f"geometry.gateways[{i}][1]")
-                )
-                for i, (x, y) in enumerate(gws)
-            )
-        )
-    return canonical_triangle(_num(geo["diameter_m"], "geometry.diameter_m"))
+    gws = _get(cfg, "geometry.gateways")
+    # --diameter-m beats the config's gateways as well as its diameter.
+    if gws is None or vars(args).get("geometry.diameter_m") is not None:
+        return canonical_triangle(_get(cfg, "geometry.diameter_m", float))
+    if not isinstance(gws, list) or len(gws) != 3:
+        raise ConfigError(f"geometry.gateways must be 3 [x, y] pairs, got {json.dumps(gws)}")
+    return GatewayTriple(
+        *(Position(*_nums(g, f"geometry.gateways[{i}]", n=2)) for i, g in enumerate(gws))
+    )
 
 
-def _counter(args, cfg) -> CounterConfig:
-    c = cfg["counter"]
-    n_bits = args.n_bits if getattr(args, "n_bits", None) is not None else c["n_bits"]
-    T_ns = args.T_ns if getattr(args, "T_ns", None) is not None else c["T_ns"]
-    return CounterConfig(_num(n_bits, "counter.n_bits", int), _num(T_ns, "counter.T_ns") * 1e-9)
+def _counter(cfg) -> CounterConfig:
+    return CounterConfig(_get(cfg, "counter.n_bits", int), _get(cfg, "counter.T_ns", float) * 1e-9)
 
 
-def _radio(args, cfg) -> RadioParams:
-    r = cfg["radio"]
-    sf = args.sf if getattr(args, "sf", None) is not None else r["sf"]
-    bw = args.bw_hz if getattr(args, "bw_hz", None) is not None else r["bw_hz"]
-    cr = args.cr if getattr(args, "cr", None) is not None else r["cr"]
-    pl = args.payload if getattr(args, "payload", None) is not None else r["payload"]
-    sf = _num(sf, "radio.sf", int)
-    bw = _num(bw, "radio.bw_hz", int)
-    de = r["low_dr_opt"]
+def _radio(cfg) -> RadioParams:
+    sf = _get(cfg, "radio.sf", int)
+    bw = _get(cfg, "radio.bw_hz", int)
+    de = _get(cfg, "radio.low_dr_opt")
     return RadioParams(
         sf=sf,
         bw_hz=bw,
-        cr=_num(cr, "radio.cr", int),
-        payload_len=_num(pl, "radio.payload", int),
-        n_preamble=_num(r["preamble"], "radio.preamble", int),
-        header_disabled=_num(r["header_disabled"], "radio.header_disabled", int),
+        cr=_get(cfg, "radio.cr", int),
+        payload_len=_get(cfg, "radio.payload", int),
+        n_preamble=_get(cfg, "radio.preamble", int),
+        header_disabled=_get(cfg, "radio.header_disabled", int),
         low_dr_opt=low_dr_opt_auto(sf, bw) if de is None else _num(de, "radio.low_dr_opt", int),
     )
 
@@ -232,13 +251,8 @@ def _progress(msg: str) -> None:
 
 
 def cmd_solve(args, cfg) -> int:
-    toa = args.toa if args.toa else cfg.get("toa")
-    if not toa:
-        raise ConfigError("solve needs three ToA values (positional args or config 'toa')")
-    if len(toa) != 3:
-        raise ConfigError(f"solve needs exactly 3 ToA values, got {len(toa)}")
-    gws = _geometry(args, cfg)
-    est = solve_analytic(ToAObservation(*(_num(t, f"toa[{i}]") for i, t in enumerate(toa))), gws)
+    toa = _nums(_get(cfg, "toa"), "toa", n=3)
+    est = solve_analytic(ToAObservation(*toa), _geometry(args, cfg))
     cols = ["x_m", "y_m", "t0_s", "residual_m", "root_index"]
     rows = [[est.pos.x, est.pos.y, est.t0_s, est.residual_m, est.root_index]]
     summary = (
@@ -250,20 +264,15 @@ def cmd_solve(args, cfg) -> int:
 
 
 def cmd_airtime(args, cfg) -> int:
-    radio = _radio(args, cfg)
-    ctr = _counter(args, cfg)
+    radio = _radio(cfg)
+    ctr = _counter(cfg)
     tau = time_on_air(radio)
     delta = duty_cycle(tau, ctr.n_bits, ctr.period_s)
     cols = ["T_sym_s", "T_preamble_s", "payload_symbols", "tau_s", "n_bits", "T_s", "delta"]
     rows = [[
-        symbol_duration(radio),
-        preamble_duration(radio),
-        payload_symbol_count(radio),
-        tau,
-        ctr.n_bits,
-        ctr.period_s,
-        delta,
-    ]]
+        symbol_duration(radio), preamble_duration(radio), payload_symbol_count(radio),
+        tau, ctr.n_bits, ctr.period_s, delta,
+    ]]  # fmt: skip
     summary = (
         f"sf{radio.sf} bw{radio.bw_hz} cr{radio.cr} pl{radio.payload_len} "
         f"de{radio.low_dr_opt}: tau {tau:.6f} s, duty cycle {delta * 100:.4f}% "
@@ -274,22 +283,20 @@ def cmd_airtime(args, cfg) -> int:
 
 
 def cmd_sweep_emax(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(cfg)
     gws = _geometry(args, cfg)
-    sw = cfg["sweep"]
-    points = args.points if args.points is not None else _num(sw["points"], "sweep.points", int)
-    T_range = tuple(_num(sw[k], f"sweep.{k}") * 1e-9 for k in ("start_ns", "stop_ns", "step_ns"))
-    scfg = SweepConfig(T_range=T_range, n_points=points, seed=seed, gws=gws)
-    workers = args.workers if args.workers is not None else _num(cfg["workers"], "workers", int)
-    _progress(f"sweep-emax: {points} targets, T {sw['start_ns']}..{sw['stop_ns']} ns, workers={workers}")
+    T_ns = [_get(cfg, f"sweep.{k}", float) for k in ("start_ns", "stop_ns", "step_ns")]
+    points = _get(cfg, "sweep.points", int)
+    scfg = SweepConfig(T_range=tuple(t * 1e-9 for t in T_ns), n_points=points, seed=seed, gws=gws)
+    workers = _get(cfg, "workers", int)
+    _progress(f"sweep-emax: {points} targets, T {T_ns[0]:g}..{T_ns[1]:g} ns, workers={workers}")
     res = sweep_emax(scfg, workers=workers)
     cols = ["T_s", "e_max_m", "sigma_m", "failed_solves"]
     rows = [
         [res.T_s[i], res.e_max_m[i], res.sigma_m[i], int(res.failed_solves[i])]
         for i in range(len(res.T_s))
     ]
-    anchor_ns = args.T_ns if args.T_ns is not None else cfg["counter"]["T_ns"]
-    idx = int(np.argmin(np.abs(res.T_s - _num(anchor_ns, "counter.T_ns") * 1e-9)))
+    idx = int(np.argmin(np.abs(res.T_s - _get(cfg, "counter.T_ns", float) * 1e-9)))
     summary = (
         f"e_max(T={res.T_s[idx] * 1e9:g} ns) = {res.e_max_m[idx]:.2f} m "
         f"(sigma {res.sigma_m[idx]:.2f} m) over {points} targets"
@@ -299,12 +306,9 @@ def cmd_sweep_emax(args, cfg) -> int:
 
 
 def cmd_dutycycle_grid(args, cfg) -> int:
-    grid = cfg["grid"]
-    ctr = _counter(args, cfg)
-    tau_values = [_num(t, f"grid.tau_s[{i}]") for i, t in enumerate(grid["tau_s"])]
-    n_values = [_num(n, f"grid.n_bits[{i}]", int) for i, n in enumerate(grid["n_bits"])]
-    if args.n_bits is not None:
-        n_values = [int(args.n_bits)]
+    ctr = _counter(cfg)
+    tau_values = _nums(_get(cfg, "grid.tau_s"), "grid.tau_s")
+    n_values = _nums(_get(cfg, "grid.n_bits"), "grid.n_bits", int)
     cells = duty_cycle_grid(tau_values, n_values, ctr.period_s)
     cols = ["tau_s", "n_bits", "T_s", "delta", "feasible_10pct", "feasible_1pct"]
     rows = [
@@ -318,25 +322,16 @@ def cmd_dutycycle_grid(args, cfg) -> int:
 
 
 def cmd_error_map(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(cfg)
     gws = _geometry(args, cfg)
-    ctr = _counter(args, cfg)
-    m = cfg["map"]
-    points = args.points if args.points is not None else _num(m["points"], "map.points", int)
-    transmissions = (
-        args.transmissions
-        if args.transmissions is not None
-        else _num(m["transmissions"], "map.transmissions", int)
-    )
+    ctr = _counter(cfg)
+    points = _get(cfg, "map.points", int)
+    transmissions = _get(cfg, "map.transmissions", int)
     mcfg = ErrorMapConfig(
-        T_s=ctr.period_s,
-        n_bits=ctr.n_bits,
-        n_points=points,
-        n_transmissions=transmissions,
-        seed=seed,
-        gws=gws,
-    )
-    workers = args.workers if args.workers is not None else _num(cfg["workers"], "workers", int)
+        T_s=ctr.period_s, n_bits=ctr.n_bits, n_points=points,
+        n_transmissions=transmissions, seed=seed, gws=gws,
+    )  # fmt: skip
+    workers = _get(cfg, "workers", int)
     _progress(
         f"error-map: {points} targets x {transmissions} transmissions, "
         f"T={ctr.period_s:.3e} s, workers={workers}"
@@ -355,16 +350,18 @@ def cmd_error_map(args, cfg) -> int:
 
 
 def cmd_alpha_bounds(args, cfg) -> int:
-    a = cfg["alpha"]
-    sf = args.sf if getattr(args, "sf", None) is not None else _num(a["sf"], "alpha.sf", int)
-    caps = {int(bw): _num(cap, f"alpha.pl_caps.{bw}", int) for bw, cap in a["pl_caps"].items()}
-    cr_lo = _num(a["cr"][0], "alpha.cr[0]", int)
-    cr_hi = _num(a["cr"][-1], f"alpha.cr[{len(a['cr']) - 1}]", int)
+    caps = _get(cfg, "alpha.pl_caps")
+    if caps is not None:
+        if not isinstance(caps, dict) or not all(bw.isdigit() for bw in caps):
+            got = json.dumps(caps)
+            raise ConfigError(f"alpha.pl_caps must map integer bandwidths to caps, got {got}")
+        caps = {int(bw): _num(cap, f"alpha.pl_caps.{bw}", int) for bw, cap in caps.items()}
+    cr = _nums(_get(cfg, "alpha.cr"), "alpha.cr", int)
     bounds = alpha_bounds(
-        sf=sf,
+        sf=_get(cfg, "alpha.sf", int),
         pl_caps=caps,
-        cr_range=range(cr_lo, cr_hi + 1),
-        n_preamble=_num(a["preamble"], "alpha.preamble", int),
+        cr_range=range(cr[0], cr[-1] + 1),
+        n_preamble=_get(cfg, "alpha.preamble", int),
     )
 
     def _params_str(p: RadioParams) -> str:
@@ -384,48 +381,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lorafix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every dest outside NOT_CONFIG is the dotted config key its flag overrides.
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", type=int, help="master seed for stochastic commands")
-    common.add_argument("--workers", type=int, help="parallel workers (default 1)")
     common.add_argument("--out", help="write the data table to this file")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    stochastic = _Parser(add_help=False)
+    stochastic.add_argument("--seed", type=int, help="master seed")
+    stochastic.add_argument("--workers", type=int, help="parallel workers (default 1)")
 
     p = sub.add_parser("solve", parents=[common], help="solve one ToA observation")
     p.add_argument("toa", nargs="*", type=float, help="t1 t2 t3 in seconds")
-    p.add_argument("--diameter-m", type=float, dest="diameter_m")
+    p.add_argument("--diameter-m", type=float, dest="geometry.diameter_m")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("airtime", parents=[common], help="packet timing and duty cycle")
-    p.add_argument("--sf", type=int)
-    p.add_argument("--bw-hz", type=int, dest="bw_hz")
-    p.add_argument("--cr", type=int)
-    p.add_argument("--payload", type=int)
-    p.add_argument("--n-bits", type=int, dest="n_bits")
-    p.add_argument("--T-ns", type=float, dest="T_ns")
+    p.add_argument("--sf", type=int, dest="radio.sf")
+    p.add_argument("--bw-hz", type=int, dest="radio.bw_hz")
+    p.add_argument("--cr", type=int, dest="radio.cr")
+    p.add_argument("--payload", type=int, dest="radio.payload")
+    p.add_argument("--n-bits", type=int, dest="counter.n_bits")
+    p.add_argument("--T-ns", type=float, dest="counter.T_ns")
     p.set_defaults(func=cmd_airtime)
 
-    p = sub.add_parser("sweep-emax", parents=[common], help="worst-case error vs counter period")
-    p.add_argument("--points", type=int)
-    p.add_argument("--T-ns", type=float, dest="T_ns", help="summary anchor period")
-    p.add_argument("--diameter-m", type=float, dest="diameter_m")
+    p = sub.add_parser("sweep-emax", parents=[common, stochastic], help="worst-case error vs counter period")
+    p.add_argument("--points", type=int, dest="sweep.points")
+    p.add_argument("--T-ns", type=float, dest="counter.T_ns", help="summary anchor period")
+    p.add_argument("--diameter-m", type=float, dest="geometry.diameter_m")
     p.set_defaults(func=cmd_sweep_emax)
 
     p = sub.add_parser("dutycycle-grid", parents=[common], help="occupancy/feasibility grid")
-    p.add_argument("--n-bits", type=int, dest="n_bits")
-    p.add_argument("--T-ns", type=float, dest="T_ns")
+    p.add_argument("--n-bits", type=int, nargs=1, dest="grid.n_bits")
+    p.add_argument("--T-ns", type=float, dest="counter.T_ns")
     p.set_defaults(func=cmd_dutycycle_grid)
 
-    p = sub.add_parser("error-map", parents=[common], help="spatial worst-case error map")
-    p.add_argument("--points", type=int)
-    p.add_argument("--transmissions", type=int)
-    p.add_argument("--n-bits", type=int, dest="n_bits")
-    p.add_argument("--T-ns", type=float, dest="T_ns")
-    p.add_argument("--diameter-m", type=float, dest="diameter_m")
+    p = sub.add_parser("error-map", parents=[common, stochastic], help="spatial worst-case error map")
+    p.add_argument("--points", type=int, dest="map.points")
+    p.add_argument("--transmissions", type=int, dest="map.transmissions")
+    p.add_argument("--n-bits", type=int, dest="counter.n_bits")
+    p.add_argument("--T-ns", type=float, dest="counter.T_ns")
+    p.add_argument("--diameter-m", type=float, dest="geometry.diameter_m")
     p.set_defaults(func=cmd_error_map)
 
     p = sub.add_parser("alpha-bounds", parents=[common], help="sync period interval from airtime")
-    p.add_argument("--sf", type=int)
+    p.add_argument("--sf", type=int, dest="alpha.sf")
     p.set_defaults(func=cmd_alpha_bounds)
 
     return parser

@@ -240,12 +240,15 @@ def solve_analytic(
 ) -> LocalizationEstimate:
     """Solve the three-gateway system by elimination on the augmented matrix.
 
-    Builds the 3x3 matrix A with rows (a_j, b_j, c*t_j), solves A u = 1 and
-    A v = m (m_j = a_j^2 + b_j^2 - c^2 t_j^2) by Gaussian elimination, and
-    closes with the scalar quadratic in l = x^2 + y^2 - c^2 t0^2 using the
-    indefinite inner product (see module docstring). Candidates are
+    Works about the gateway centroid (cx, cy), because absolute coordinates
+    lose precision when the origin lies far from the triangle. With a_j, b_j
+    the gateway coordinates relative to it, builds the 3x3 matrix A with rows
+    (a_j, b_j, c*t_j), solves A u = 1 and A v = m (m_j = a_j^2 + b_j^2 -
+    c^2 t_j^2) by Gaussian elimination, and closes with the scalar quadratic
+    in l = (x-cx)^2 + (y-cy)^2 - c^2 t0^2 using the indefinite inner product
+    (see module docstring). Candidates are
 
-        x = (l*u1 + v1) / 2,  y = (l*u2 + v2) / 2,  t0 = -(l*u3 + v3) / (2c).
+        x = cx + (l*u1 + v1) / 2,  y = cy + (l*u2 + v2) / 2,  t0 = -(l*u3 + v3) / (2c).
 
     Raises
     ------
@@ -259,12 +262,17 @@ def solve_analytic(
     c = SPEED_OF_LIGHT
     g = gws.as_array()
     t = obs.as_array()
-    A = np.column_stack([g[:, 0], g[:, 1], c * t])
+    cx = (gws.g1.x + gws.g2.x + gws.g3.x) / 3.0
+    cy = (gws.g1.y + gws.g2.y + gws.g3.y) / 3.0
+    A = np.empty((3, 3))
+    A[:, 0] = g[:, 0] - cx
+    A[:, 1] = g[:, 1] - cy
+    A[:, 2] = c * t
     scale = float(np.max(np.abs(A)))
     det = float(np.linalg.det(A))
     if scale == 0.0 or abs(det) < _DET_RTOL * scale**3:
         raise SingularGeometryError(f"arrival matrix is singular (det {det!r})")
-    m = g[:, 0] ** 2 + g[:, 1] ** 2 - (c * t) ** 2
+    m = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
     uv_cols = np.linalg.solve(A, np.column_stack([np.ones(3), m]))
     u = uv_cols[:, 0]
     v = uv_cols[:, 1]
@@ -276,8 +284,8 @@ def solve_analytic(
     roots = _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
     cands = []
     for idx, l in enumerate(roots):
-        x = 0.5 * (l * u[0] + v[0])
-        y = 0.5 * (l * u[1] + v[1])
+        x = 0.5 * (l * u[0] + v[0]) + cx
+        y = 0.5 * (l * u[1] + v[1]) + cy
         t0 = -(l * u[2] + v[2]) / (2.0 * c)
         cands.append((x, y, t0, idx))
     return _select_candidate(cands, t, g, gws, t0_floor_s)

@@ -1,5 +1,7 @@
-"""End-to-end checks of the command-line interface via subprocess."""
+"""End-to-end checks of the command-line interface via subprocess; the
+flag-precedence checks, which need many runs, call ``main`` in-process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 from lorafix import Position, canonical_triangle, forward_toa
-from lorafix.cli import _render
+from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S, NO_REAL_ROOT_OBS
 
@@ -121,6 +123,15 @@ class TestAlphaBounds:
         assert float(vals[1]) == pytest.approx(ALPHA_ORACLE_MAX_S, abs=1e-9)
         assert vals[3] == "sf=12 bw=125000 cr=4 pl=51 de=1"
 
+    def test_config_pl_caps_replace_the_default_map(self, tmp_path):
+        # A 125 kHz-only map must not keep sweeping 500 kHz (tau_min 0.206848 s).
+        cfg = write_config(tmp_path, {"alpha": {"pl_caps": {"125000": 51}}})
+        r = run_cli("alpha-bounds", "--config", cfg)
+        assert r.returncode == 0, r.stderr
+        vals = r.stdout.strip().splitlines()[1].split(",")
+        assert float(vals[0]) == pytest.approx(0.827392, abs=1e-9)
+        assert vals[2] == "sf=12 bw=125000 cr=1 pl=1 de=1"
+
     def test_empty_coding_rate_range_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"alpha": {"cr": [4, 1]}})
         r = run_cli("alpha-bounds", "--config", cfg)
@@ -155,9 +166,15 @@ class TestWorkers:
         assert r.returncode == 1
         assert "workers must be >= 1" in r.stderr
 
+    def test_deterministic_command_has_no_workers_flag(self):
+        r = run_cli("solve", "--workers", "2", "1e-4", "1e-4", "1e-4")
+        assert r.returncode == 1
+        assert "unrecognized arguments: --workers" in r.stderr
+
 
 class TestConfigTypes:
     SEEDED = ["--seed", "1"]
+    SOLVE = ["solve", "1e-4", "1e-4", "1e-4"]
 
     @pytest.mark.parametrize(
         "argv, doc, message",
@@ -196,18 +213,128 @@ class TestConfigTypes:
                 {"alpha": {"preamble": False}},
                 "alpha.preamble must be an integer, got false",
             ),
+            (["sweep-emax", *SEEDED], {"sweep": None}, "sweep must be an object, got null"),
+            (SOLVE, {"geometry": None}, "geometry must be an object, got null"),
+            (["airtime"], {"radio": None}, "radio must be an object, got null"),
+            (["airtime"], {"counter": 3}, "counter must be an object, got 3"),
+            (
+                ["alpha-bounds"],
+                {"alpha": {"cr": []}},
+                "alpha.cr must be a non-empty list of integers, got []",
+            ),
+            (
+                ["dutycycle-grid"],
+                {"grid": {"tau_s": 5}},
+                "grid.tau_s must be a non-empty list of numbers, got 5",
+            ),
+            (["solve"], {"toa": 5}, "toa must be a list of 3 numbers, got 5"),
+            (
+                SOLVE,
+                {"geometry": {"gateways": [[0], [1, 2], [3, 4]]}},
+                "geometry.gateways[0] must be a list of 2 numbers, got [0]",
+            ),
+            (
+                SOLVE,
+                {"geometry": {"gateways": [[0, 0], [1, 0]]}},
+                "geometry.gateways must be 3 [x, y] pairs, got [[0, 0], [1, 0]]",
+            ),
+            (
+                ["alpha-bounds"],
+                {"alpha": {"pl_caps": {"abc": 5}}},
+                'alpha.pl_caps must map integer bandwidths to caps, got {"abc": 5}',
+            ),
         ],
     )
     def test_wrong_type_names_key_exit_1(self, tmp_path, argv, doc, message):
         r = run_cli(*argv, "--config", write_config(tmp_path, doc))
         assert r.returncode == 1
         assert r.stderr.strip().endswith(f"error: {message}")
+        assert "Traceback" not in r.stderr
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {"points": 20.0, "start_ns": 40, "stop_ns": 40}})
         r = run_cli("sweep-emax", "--seed", "1", "--config", cfg)
         assert r.returncode == 0, r.stderr
         assert "over 20 targets" in r.stderr
+
+
+FAST = {
+    "solve": {"toa": forward_toa(Position(500.0, 250.0), canonical_triangle(5000.0)).as_array().tolist()},
+    "airtime": {},
+    "sweep-emax": {"seed": 1, "sweep": {"start_ns": 40, "stop_ns": 40, "points": 20}},
+    "dutycycle-grid": {},
+    "error-map": {"seed": 1, "map": {"points": 20, "transmissions": 1}},
+    "alpha-bounds": {},
+}
+
+
+def _with(doc, key, value):
+    """Copy of ``doc`` with ``value`` at dotted ``key``."""
+    head, _, rest = key.partition(".")
+    return {**doc, head: _with(doc.get(head, {}), rest, value) if rest else value}
+
+
+class TestFlagPrecedence:
+    @pytest.mark.parametrize(
+        "command, argv, key, value",
+        [
+            ("solve", ["1e-4", "1.1e-4", "1.2e-4"], "toa", [1e-4, 1.1e-4, 1.2e-4]),
+            ("solve", ["--diameter-m", "5000"], "geometry.diameter_m", 5000.0),
+            ("airtime", ["--sf", "9"], "radio.sf", 9),
+            ("airtime", ["--bw-hz", "250000"], "radio.bw_hz", 250000),
+            ("airtime", ["--cr", "3"], "radio.cr", 3),
+            ("airtime", ["--payload", "12"], "radio.payload", 12),
+            ("airtime", ["--n-bits", "30"], "counter.n_bits", 30),
+            ("airtime", ["--T-ns", "20"], "counter.T_ns", 20.0),
+            ("sweep-emax", ["--seed", "5"], "seed", 5),
+            ("sweep-emax", ["--workers", "1"], "workers", 1),
+            ("sweep-emax", ["--points", "30"], "sweep.points", 30),
+            ("sweep-emax", ["--T-ns", "20"], "counter.T_ns", 20.0),
+            ("sweep-emax", ["--diameter-m", "5000"], "geometry.diameter_m", 5000.0),
+            ("dutycycle-grid", ["--n-bits", "30"], "grid.n_bits", [30]),
+            ("dutycycle-grid", ["--T-ns", "20"], "counter.T_ns", 20.0),
+            ("error-map", ["--seed", "5"], "seed", 5),
+            ("error-map", ["--workers", "1"], "workers", 1),
+            ("error-map", ["--points", "30"], "map.points", 30),
+            ("error-map", ["--transmissions", "2"], "map.transmissions", 2),
+            ("error-map", ["--n-bits", "30"], "counter.n_bits", 30),
+            ("error-map", ["--T-ns", "20"], "counter.T_ns", 20.0),
+            ("error-map", ["--diameter-m", "5000"], "geometry.diameter_m", 5000.0),
+            ("alpha-bounds", ["--sf", "9"], "alpha.sf", 9),
+        ],
+    )
+    def test_flag_beats_config(self, tmp_path, capsys, command, argv, key, value):
+        # The config sets the flag's key to a value no reader accepts, so the
+        # run succeeds only if the flag wins, and must then print the table a
+        # config holding the flag's value prints.
+        flagged = write_config(tmp_path, _with(FAST[command], key, "bad"), "flagged.json")
+        plain = write_config(tmp_path, _with(FAST[command], key, value), "plain.json")
+        assert main([command, *argv, "--config", flagged]) == 0
+        got = capsys.readouterr().out
+        assert main([command, "--config", plain]) == 0
+        assert got == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-emax", "error-map"])
+    def test_diameter_flag_beats_config_gateways(self, tmp_path, capsys, command):
+        gateways = {"geometry": {"gateways": [[0, 0], [500, 0], [0, 500]]}}
+        flagged = write_config(tmp_path, {**FAST[command], **gateways}, "flagged.json")
+        plain = write_config(tmp_path, _with(FAST[command], "geometry.diameter_m", 5000), "plain.json")
+        assert main([command, "--diameter-m", "5000", "--config", flagged]) == 0
+        got = capsys.readouterr().out
+        assert main([command, "--config", plain]) == 0
+        assert got == capsys.readouterr().out
+
+
+def test_every_parser_dest_is_a_config_key():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in (*NOT_CONFIG, "help"):
+                continue
+            node = DEFAULTS
+            for part in action.dest.split("."):
+                assert isinstance(node, dict) and part in node, f"{name}: {action.dest}"
+                node = node[part]
 
 
 class TestStrictJson:

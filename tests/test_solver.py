@@ -238,10 +238,11 @@ class TestResidual:
 
 class TestDegenerateInputs:
     def test_analytic_rejects_dependent_time_column(self):
-        # Timestamps proportional to a_j + b_j make the arrival matrix rank 2.
+        # The arrival matrix is built about the gateway centroid (2/3, 2/3), so
+        # c*t_j = (a_j - 2/3) + (b_j - 2/3) makes it rank 2.
         tri = GatewayTriple(Position(1.0, 0.0), Position(0.0, 1.0), Position(1.0, 1.0))
         c = SPEED_OF_LIGHT
-        obs = ToAObservation(1.0 / c, 1.0 / c, 2.0 / c)
+        obs = ToAObservation(-1.0 / (3.0 * c), -1.0 / (3.0 * c), 2.0 / (3.0 * c))
         with pytest.raises(SingularGeometryError):
             solve_analytic(obs, tri)
 
