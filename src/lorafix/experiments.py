@@ -28,6 +28,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -298,36 +299,51 @@ def alpha_bounds(
 ) -> AlphaBounds:
     """Admissible sync-period interval from the airtime cross-product.
 
-    Sweeps payload length 1..cap and coding rate over every bandwidth (the
-    low-data-rate flag follows the symbol-duration rule) and returns the
-    extreme packet durations together with the configurations attaining
-    them. A sync period must be at least the longest packet and gains
-    nothing below the shortest, so [tau_min, tau_max] brackets the design.
+    Over payload length 1..cap and coding rate for every bandwidth (the
+    low-data-rate flag follows the symbol-duration rule), returns the
+    extreme packet durations together with the first configurations, in
+    bandwidth, coding-rate, payload order, attaining them. A sync period
+    must be at least the longest packet and gains nothing below the
+    shortest, so [tau_min, tau_max] brackets the design.
     Raises ValueError when the cross product is empty.
     """
     caps = dict(DEFAULT_PL_CAPS if pl_caps is None else pl_caps)
     if bw_set is not None:
         caps = {bw: caps[bw] for bw in bw_set}
+
+    def params(bw, cr, pl, de):
+        return RadioParams(
+            sf=sf,
+            bw_hz=bw,
+            cr=cr,
+            payload_len=pl,
+            n_preamble=n_preamble,
+            header_disabled=0,
+            low_dr_opt=de,
+        )
+
+    # Airtime never decreases with the payload length, so per (bw, cr) the
+    # sweep's first minimum is at pl = 1 and its first maximum is the first
+    # payload on the top plateau, found by bisection. Merging those in sweep
+    # order with strict comparisons gives the full sweep's result.
     best_min = None
     best_max = None
     for bw in sorted(caps):
         de = low_dr_opt_auto(sf, bw)
+        payloads = range(1, caps[bw] + 1)
+        if not payloads:
+            continue
         for cr in cr_range:
-            for pl in range(1, caps[bw] + 1):
-                p = RadioParams(
-                    sf=sf,
-                    bw_hz=bw,
-                    cr=cr,
-                    payload_len=pl,
-                    n_preamble=n_preamble,
-                    header_disabled=0,
-                    low_dr_opt=de,
+            p = params(bw, cr, 1, de)
+            tau = time_on_air(p)
+            if best_min is None or tau < best_min[0]:
+                best_min = (tau, p)
+            top = time_on_air(params(bw, cr, payloads[-1], de))
+            if best_max is None or top > best_max[0]:
+                first = bisect.bisect_left(
+                    payloads, top, key=lambda pl: time_on_air(params(bw, cr, pl, de))
                 )
-                tau = time_on_air(p)
-                if best_min is None or tau < best_min[0]:
-                    best_min = (tau, p)
-                if best_max is None or tau > best_max[0]:
-                    best_max = (tau, p)
+                best_max = (top, params(bw, cr, payloads[first], de))
     if best_min is None:
         raise ValueError(
             "alpha_bounds: the bandwidth x coding-rate x payload cross product is empty"

@@ -28,11 +28,15 @@ independent solution routes are implemented and cross-validated:
     an affine function of the first-gateway range d1; the circle constraint
     (x-a1)^2 + (y-b1)^2 = d1^2 then closes a scalar quadratic in d1. This is
     the classic two-hyperbola intersection, fully elementwise, so it also
-    ships as a vectorized batch variant for Monte Carlo work.
+    ships as a vectorized batch variant for Monte Carlo work. The batch
+    variant keeps its two candidates candidate-major, as (2, n) arrays, and
+    takes candidate ranges as sqrt(dx^2 + dy^2) rather than ``np.hypot``.
 
-Both routes produce (up to) two algebraic candidates; the physical one is
-chosen by the smallest range residual, with a tie broken in favor of the
-candidate inside the gateway triangle. The scalar selector of the analytic
+Both routes work about the gateway centroid, so a triangle far from the
+coordinate origin loses no precision, and both produce (up to) two
+algebraic candidates; the physical one is chosen by the smallest range
+residual, with a tie broken in favor of the candidate inside the gateway
+triangle. The scalar selector of the analytic
 route and the vectorized one of the batch route share the tie tolerance
 (``_res_tie_tol``) and the containment test (:func:`lorafix.geometry.contains`).
 """
@@ -308,8 +312,11 @@ def solve_closed_form_batch(
 ) -> BatchSolveResult:
     """Closed-form TDoA solve of many observations at once.
 
-    Subtracting the first gateway's squared range equation from the other
-    two gives, with D_j1 = c*(t_j - t1),
+    Works about the gateway centroid (cx, cy), like :func:`solve_analytic`,
+    so a triangle far from the coordinate origin keeps its precision. With
+    a_j, b_j the gateway coordinates relative to it and D_j1 = c*(t_j - t1),
+    subtracting the first gateway's squared range equation from the other
+    two gives
 
         2(a_j - a1) x + 2(b_j - b1) y = K_j - D_j1^2 - 2 D_j1 d1,
 
@@ -323,6 +330,12 @@ def solve_closed_form_batch(
     solved with the same stable quadratic used by the analytic route. Root
     selection (t0 floor, residual, tie toward the triangle interior) matches
     the scalar solvers row for row.
+
+    The two candidates are stored candidate-major, as (2, n) arrays whose
+    row k holds root k of every observation, so each elementwise pass runs
+    over n contiguous values. Candidate ranges are sqrt(dx^2 + dy^2), which
+    is several times cheaper than ``np.hypot``; it can only overflow beyond
+    1e154 m, and it is non-finite exactly where the candidate is.
 
     Parameters
     ----------
@@ -342,10 +355,12 @@ def solve_closed_form_batch(
     t = np.asarray(toas, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"toas must have shape (n, 3), got {t.shape}")
-    g = gws.as_array()
-    a1, b1 = g[0]
-    a2, b2 = g[1]
-    a3, b3 = g[2]
+    cx = (gws.g1.x + gws.g2.x + gws.g3.x) / 3.0
+    cy = (gws.g1.y + gws.g2.y + gws.g3.y) / 3.0
+    ga = (gws.g1.x - cx, gws.g2.x - cx, gws.g3.x - cx)
+    gb = (gws.g1.y - cy, gws.g2.y - cy, gws.g3.y - cy)
+    a1, a2, a3 = ga
+    b1, b2, b3 = gb
 
     A21, B21 = 2.0 * (a2 - a1), 2.0 * (b2 - b1)
     A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
@@ -381,33 +396,41 @@ def solve_closed_form_batch(
     disc = np.where(disc < 0.0, 0.0, disc)
     sq = np.sqrt(disc)
     q = -0.5 * (qb + np.copysign(sq, qb))
-    d1 = np.empty((t.shape[0], 2))
+    d1 = np.empty((2, t.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(q, qa, out=d1[:, 0])
-        np.divide(qc, q, out=d1[:, 1])
+        np.divide(q, qa, out=d1[0])
+        np.divide(qc, q, out=d1[1])
 
-    x = xc[:, None] + xl[:, None] * d1
-    y = yc[:, None] + yl[:, None] * d1
-    t0 = t[:, 0][:, None] - d1 / c
-    t0 = np.where(np.abs(t0) < _T0_CLAMP_S, 0.0, t0)
+    x = xc + xl * d1
+    y = yc + yl * d1
+    t0 = t[:, 0] - d1 / c
+    t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
 
     # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
     # is, so it alone marks the bad candidates.
-    with np.errstate(invalid="ignore"):
-        ssq = np.zeros_like(d1)
-        for j in range(3):
-            r = np.hypot(x - g[j, 0], y - g[j, 1])
-            r -= c * (t[:, j][:, None] - t0)
-            ssq += r * r
-        res = np.sqrt(ssq / 3.0)
+    ssq = np.zeros_like(d1)
+    r = np.empty_like(d1)
+    dy = np.empty_like(d1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for aj, bj, tj in zip(ga, gb, t.T):
+            np.subtract(x, aj, out=r)
+            r *= r
+            np.subtract(y, bj, out=dy)
+            dy *= dy
+            r += dy
+            np.sqrt(r, out=r)
+            r -= c * (tj - t0)
+            r *= r
+            ssq += r
+        ssq /= 3.0
+        res = np.sqrt(ssq, out=ssq)
     bad_cand = ~np.isfinite(res)
     res[bad_cand] = np.inf
 
     # t0 floor, ignored when it would reject both candidates.
     passes = (t0 >= t0_floor_s) & ~bad_cand
-    any_pass = passes[:, 0] | passes[:, 1]
-    eff = np.where(passes | ~any_pass[:, None], res, np.inf)
-    eff0, eff1 = eff[:, 0], eff[:, 1]
+    any_pass = passes[0] | passes[1]
+    eff0, eff1 = np.where(passes | ~any_pass, res, np.inf)
 
     pick = eff1 < eff0
     t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
@@ -415,15 +438,11 @@ def solve_closed_form_batch(
     rows = np.flatnonzero(tie)
     if rows.size:
         # Same deployment prior as the scalar path: inside the triangle
-        # first, then nearer the centroid.
-        cx = g[:, 0].mean()
-        cy = g[:, 1].mean()
-        xt, yt = x[rows], y[rows]
+        # first, then nearer the centroid, which is the frame's origin.
+        xt, yt = x[:, rows], y[:, rows]
         with np.errstate(invalid="ignore"):
-            in0 = contains(gws, (xt[:, 0], yt[:, 0]))
-            in1 = contains(gws, (xt[:, 1], yt[:, 1]))
-            cd0 = np.hypot(xt[:, 0] - cx, yt[:, 0] - cy)
-            cd1 = np.hypot(xt[:, 1] - cx, yt[:, 1] - cy)
+            in0, in1 = contains(gws, (xt + cx, yt + cy))
+            cd0, cd1 = np.hypot(xt, yt)
         better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
         better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
         pick[rows] = np.where(better0, False, better1 | pick[rows])
@@ -432,9 +451,9 @@ def solve_closed_form_batch(
     ok = np.isfinite(sel_res) & ~no_root
     nan = np.where(ok, 0.0, np.nan)
     return BatchSolveResult(
-        x=np.where(pick, x[:, 1], x[:, 0]) + nan,
-        y=np.where(pick, y[:, 1], y[:, 0]) + nan,
-        t0_s=np.where(pick, t0[:, 1], t0[:, 0]) + nan,
+        x=np.where(pick, x[1], x[0]) + cx + nan,
+        y=np.where(pick, y[1], y[0]) + cy + nan,
+        t0_s=np.where(pick, t0[1], t0[0]) + nan,
         residual_m=sel_res + nan,
         root_index=pick.astype(np.int8),
         ok=ok,

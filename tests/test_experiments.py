@@ -21,6 +21,7 @@ from lorafix import (
 )
 from lorafix.error_model import SIGN_PATTERNS
 from lorafix.experiments import _KERNEL_ROWS, _chunk_slices, _map_chunk, _t_grid
+from lorafix.lora_phy import VALID_BW_HZ, RadioParams, low_dr_opt_auto, time_on_air
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S
 
@@ -229,6 +230,28 @@ class TestDutyCycleGrid:
         assert flips == sorted(flips)  # False ... False True ... True
 
 
+def _swept_alpha_bounds(sf=12, bw_set=None, pl_caps=None, cr_range=(1, 2, 3, 4), n_preamble=8):
+    """Reference: every (bandwidth, coding rate, payload) in sweep order."""
+    caps = dict(DEFAULT_PL_CAPS if pl_caps is None else pl_caps)
+    if bw_set is not None:
+        caps = {bw: caps[bw] for bw in bw_set}
+    best_min = None
+    best_max = None
+    for bw in sorted(caps):
+        de = low_dr_opt_auto(sf, bw)
+        for cr in cr_range:
+            for pl in range(1, caps[bw] + 1):
+                p = RadioParams(sf, bw, cr, pl, n_preamble, 0, de)
+                tau = time_on_air(p)
+                if best_min is None or tau < best_min[0]:
+                    best_min = (tau, p)
+                if best_max is None or tau > best_max[0]:
+                    best_max = (tau, p)
+    if best_min is None:
+        raise ValueError("empty")
+    return AlphaBounds(best_min[0], best_max[0], best_min[1], best_max[1])
+
+
 class TestAlphaBounds:
     def test_matches_independent_sweep(self):
         res = alpha_bounds()
@@ -253,6 +276,20 @@ class TestAlphaBounds:
         assert res.argmin.bw_hz == 125000
         assert res.tau_max_s == pytest.approx(ALPHA_ORACLE_MAX_S, abs=1e-9)
         assert res.tau_min_s > ALPHA_ORACLE_MIN_S
+
+    def test_matches_full_sweep_on_random_designs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            bws = [bw for bw in VALID_BW_HZ if rng.random() < 0.7] or [125000]
+            kwargs = dict(
+                sf=int(rng.integers(7, 13)),
+                pl_caps={bw: int(rng.integers(1, 256)) for bw in bws},
+                cr_range=tuple(int(cr) for cr in rng.permutation(4)[: rng.integers(1, 5)] + 1),
+                n_preamble=int(rng.integers(1, 21)),
+            )
+            if rng.random() < 0.5:
+                kwargs["bw_set"] = bws[: rng.integers(1, len(bws) + 1)]
+            assert alpha_bounds(**kwargs) == _swept_alpha_bounds(**kwargs), kwargs
 
     @pytest.mark.parametrize(
         "kwargs", [{"cr_range": range(4, 2)}, {"pl_caps": {}}, {"pl_caps": {125000: 0}}]

@@ -21,6 +21,15 @@ from lorafix import (
     solve_closed_form,
     solve_closed_form_batch,
 )
+from lorafix.geometry import contains
+from lorafix.solver import (
+    _DET_RTOL,
+    _NEG_DISC_RTOL,
+    _T0_CLAMP_S,
+    DEFAULT_T0_FLOOR_S,
+    BatchSolveResult,
+    _res_tie_tol,
+)
 
 from _oracles import NO_REAL_ROOT_OBS
 
@@ -29,6 +38,121 @@ TRI = canonical_triangle(10000.0)
 
 def _random_interior(n, seed):
     return sample_points_in_triangle(TRI, n, np.random.default_rng(seed))
+
+
+def _random_triangle(rng, size, min_angle_deg):
+    """(3, 2) vertices: a unit base and an apex with every angle at least
+    ``min_angle_deg``, scaled by ``size`` and rotated at random."""
+    lo = math.radians(min_angle_deg)
+    a = rng.uniform(lo, math.pi - 2.0 * lo)
+    b = rng.uniform(lo, math.pi - lo - a)
+    side = math.sin(b) / math.sin(a + b)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [side * math.cos(a), side * math.sin(a)]])
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return unit @ rot.T * size
+
+
+def _triple(verts):
+    return GatewayTriple(*(Position(float(x), float(y)) for x, y in verts))
+
+
+def _reference_batch(toas, gws, t0_floor_s=DEFAULT_T0_FLOOR_S):
+    """Reference batch solve: the root-per-column (n, 2) layout with
+    ``np.hypot`` ranges, in absolute coordinates."""
+    c = SPEED_OF_LIGHT
+    t = np.asarray(toas, dtype=float)
+    g = gws.as_array()
+    a1, b1 = g[0]
+    a2, b2 = g[1]
+    a3, b3 = g[2]
+
+    A21, B21 = 2.0 * (a2 - a1), 2.0 * (b2 - b1)
+    A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
+    D = A21 * B31 - A31 * B21
+    gscale = max(abs(A21), abs(B21), abs(A31), abs(B31), 1e-300)
+    if abs(D) < _DET_RTOL * gscale**2:
+        raise SingularGeometryError("gateway difference matrix is singular")
+
+    d21 = c * (t[:, 1] - t[:, 0])
+    d31 = c * (t[:, 2] - t[:, 0])
+    k2 = (a2 * a2 + b2 * b2) - (a1 * a1 + b1 * b1)
+    k3 = (a3 * a3 + b3 * b3) - (a1 * a1 + b1 * b1)
+    p2 = k2 - d21 * d21
+    p3 = k3 - d31 * d31
+
+    xc = (p2 * B31 - p3 * B21) / D
+    xl = (-2.0 * d21 * B31 + 2.0 * d31 * B21) / D
+    yc = (A21 * p3 - A31 * p2) / D
+    yl = (-2.0 * d31 * A21 + 2.0 * d21 * A31) / D
+
+    fx = xc - a1
+    fy = yc - b1
+    qa = xl * xl + yl * yl - 1.0
+    qb = 2.0 * (fx * xl + fy * yl)
+    qc = fx * fx + fy * fy
+
+    qb2 = qb * qb
+    qac4 = 4.0 * qa * qc
+    disc = qb2 - qac4
+    graze_tol = _NEG_DISC_RTOL * np.maximum(qb2, np.abs(qac4))
+    no_root = disc < -graze_tol
+    disc = np.where(disc < 0.0, 0.0, disc)
+    sq = np.sqrt(disc)
+    q = -0.5 * (qb + np.copysign(sq, qb))
+    d1 = np.empty((t.shape[0], 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(q, qa, out=d1[:, 0])
+        np.divide(qc, q, out=d1[:, 1])
+
+    x = xc[:, None] + xl[:, None] * d1
+    y = yc[:, None] + yl[:, None] * d1
+    t0 = t[:, 0][:, None] - d1 / c
+    t0 = np.where(np.abs(t0) < _T0_CLAMP_S, 0.0, t0)
+
+    with np.errstate(invalid="ignore"):
+        ssq = np.zeros_like(d1)
+        for j in range(3):
+            r = np.hypot(x - g[j, 0], y - g[j, 1])
+            r -= c * (t[:, j][:, None] - t0)
+            ssq += r * r
+        res = np.sqrt(ssq / 3.0)
+    bad_cand = ~np.isfinite(res)
+    res[bad_cand] = np.inf
+
+    passes = (t0 >= t0_floor_s) & ~bad_cand
+    any_pass = passes[:, 0] | passes[:, 1]
+    eff = np.where(passes | ~any_pass[:, None], res, np.inf)
+    eff0, eff1 = eff[:, 0], eff[:, 1]
+
+    pick = eff1 < eff0
+    t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
+    tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
+    rows = np.flatnonzero(tie)
+    if rows.size:
+        cx = g[:, 0].mean()
+        cy = g[:, 1].mean()
+        xt, yt = x[rows], y[rows]
+        with np.errstate(invalid="ignore"):
+            in0 = contains(gws, (xt[:, 0], yt[:, 0]))
+            in1 = contains(gws, (xt[:, 1], yt[:, 1]))
+            cd0 = np.hypot(xt[:, 0] - cx, yt[:, 0] - cy)
+            cd1 = np.hypot(xt[:, 1] - cx, yt[:, 1] - cy)
+        better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
+        better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
+        pick[rows] = np.where(better0, False, better1 | pick[rows])
+
+    sel_res = np.where(pick, eff1, eff0)
+    ok = np.isfinite(sel_res) & ~no_root
+    nan = np.where(ok, 0.0, np.nan)
+    return BatchSolveResult(
+        x=np.where(pick, x[:, 1], x[:, 0]) + nan,
+        y=np.where(pick, y[:, 1], y[:, 0]) + nan,
+        t0_s=np.where(pick, t0[:, 1], t0[:, 0]) + nan,
+        residual_m=sel_res + nan,
+        root_index=pick.astype(np.int8),
+        ok=ok,
+    )
 
 
 class TestForwardModel:
@@ -170,6 +294,61 @@ class TestBatchSolver:
         assert out.ok[0] and not out.ok[1]
         assert np.isnan(out.x[1]) and np.isnan(out.y[1]) and np.isnan(out.t0_s[1])
         assert np.isfinite(out.x[0])
+
+    def test_matches_reference_rows(self):
+        """Same fixes as the reference layout on 480k rows, rootless ones too.
+
+        Each triangle has g3 = -(g1 + g2), so its centroid is exactly 0 and
+        the solver's centring changes no bit. The sqrt-form ranges move a
+        residual by a few ulps of the candidate's ranges, so the bound is
+        1e-3 of the tie window plus 4 ulps of the largest range: a fix tens
+        of km outside a small triangle has ranges whose ulp alone exceeds
+        1e-3 of the window.
+        """
+        rng = np.random.default_rng(606)
+        n_rows = 10_000
+        rootless = 0
+        for _ in range(48):
+            verts = _random_triangle(rng, 10 ** rng.uniform(-2.0, math.log10(3e4)), 10.0)
+            verts -= verts.mean(axis=0)
+            verts[2] = -(verts[0] + verts[1])
+            gws = _triple(verts)
+            targets = rng.dirichlet([1.0, 1.0, 1.0], n_rows) @ verts
+            targets *= rng.uniform(0.5, 2.0, (n_rows, 1))
+            t0 = np.where(rng.random(n_rows) < 0.5, 0.0, rng.uniform(0.0, 1e-3, n_rows))
+            toas = forward_toa_batch(targets, gws, t0)
+            toas += rng.uniform(-1.0, 1.0, toas.shape) * 10 ** rng.uniform(-9.0, -4.0)
+            got = solve_closed_form_batch(toas, gws)
+            want = _reference_batch(toas, gws)
+            for name in ("x", "y", "t0_s", "root_index", "ok"):
+                assert np.array_equal(
+                    getattr(got, name), getattr(want, name), equal_nan=name != "ok"
+                ), name
+            rootless += int((~want.ok).sum())
+            ok = want.ok
+            ranges = np.hypot(want.x[ok, None] - verts[:, 0], want.y[ok, None] - verts[:, 1])
+            tol = 1e-3 * _res_tie_tol(np.abs(toas[ok]).max(axis=1))
+            tol += 4.0 * np.spacing(ranges.max(axis=1))
+            assert np.all(np.abs(got.residual_m[ok] - want.residual_m[ok]) <= tol)
+        assert 0.05 * 48 * n_rows < rootless < 0.95 * 48 * n_rows
+
+    def test_far_origin_noiseless_rows(self):
+        # 50 m to 5 km triangles 60 to 90 of their sizes from the origin:
+        # every noiseless row must be fixed to the micrometre.
+        rng = np.random.default_rng(607)
+        worst = 0.0
+        for _ in range(1500):
+            size = 10 ** rng.uniform(math.log10(50.0), math.log10(5000.0))
+            bearing = rng.uniform(0.0, 2.0 * math.pi)
+            offset = rng.uniform(60.0, 90.0) * size
+            verts = _random_triangle(rng, size, 15.0)
+            verts += offset * np.array([math.cos(bearing), math.sin(bearing)])
+            gws = _triple(verts)
+            targets = rng.dirichlet([1.0, 1.0, 1.0], 26) @ verts
+            out = solve_closed_form_batch(forward_toa_batch(targets, gws), gws)
+            assert out.ok.all()
+            worst = max(worst, np.hypot(out.x - targets[:, 0], out.y - targets[:, 1]).max())
+        assert worst < 1e-6
 
 
 class TestInvariances:
