@@ -16,7 +16,6 @@ from .constants import SPEED_OF_LIGHT
 from .counter import (
     CounterConfig,
     CounterOverflowError,
-    ProcessorClock,
     counter_to_time,
     overflow_time,
     quantize,
@@ -85,7 +84,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "CounterConfig",
     "CounterOverflowError",
-    "ProcessorClock",
     "counter_to_time",
     "overflow_time",
     "quantize",

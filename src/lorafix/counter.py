@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class CounterOverflowError(ValueError):
@@ -24,32 +25,24 @@ class CounterConfig:
             raise ValueError(f"period_s must be positive, got {self.period_s!r}")
 
 
-@dataclass(frozen=True)
-class ProcessorClock:
-    """The gateway processor clock; one slippage costs one period."""
-
-    period_s: float
-
-    def __post_init__(self):
-        if not (self.period_s > 0):
-            raise ValueError(f"period_s must be positive, got {self.period_s!r}")
-
-
-def quantize(t_true_s: float, cfg: CounterConfig) -> int:
+def quantize(t_true_s, cfg: CounterConfig):
     """Counter reading for a true arrival time: floor(t / T).
 
-    Raises CounterOverflowError if the reading would not fit in n bits,
-    i.e. the packet arrived after the counter wrapped.
+    ``t_true_s`` is a float, giving an ``int``, or an array, giving uint64
+    readings of its shape. Raises CounterOverflowError if a reading would not
+    fit in n bits, i.e. the packet arrived after the counter wrapped.
     """
-    if not (t_true_s >= 0):
-        raise ValueError(f"arrival time must be non-negative, got {t_true_s!r}")
-    n = math.floor(t_true_s / cfg.period_s)
-    if n >= (1 << cfg.n_bits):
+    t = np.asarray(t_true_s, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError(f"arrival time must be non-negative, got {float(t.min())!r}")
+    n = np.floor(t / cfg.period_s)
+    # Compared as floats: a 64-bit reading does not fit a signed integer.
+    if np.any(n >= float(1 << cfg.n_bits)):
         raise CounterOverflowError(
-            f"t={t_true_s!r} s exceeds the {cfg.n_bits}-bit counter range "
+            f"t={float(t.max())!r} s exceeds the {cfg.n_bits}-bit counter range "
             f"({overflow_time(cfg)!r} s)"
         )
-    return n
+    return int(n) if n.ndim == 0 else n.astype(np.uint64)
 
 
 def counter_to_time(count: int, cfg: CounterConfig) -> float:

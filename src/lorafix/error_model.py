@@ -12,7 +12,7 @@ processor cycles of latching slippage, each costing T_g plus its own jitter
 (w2 ~ Normal(0, sigma2^2), drawn once per packet since all slips belong to
 the same reception).
 
-The ideal mode — drift and slippage disabled, perfectly placed sync node —
+The ideal mode — zero drift and slippage, perfectly placed sync node —
 leaves exactly the quantization residue, uniform on [0, T).
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .counter import CounterConfig, ProcessorClock
+from .counter import CounterConfig
 from .geometry import Position, SyncNodeConfig
 
 
@@ -40,21 +40,22 @@ SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 class ErrorModelParams:
     """Knobs of the timing-error model.
 
+    t_g_s is the gateway processor clock period, the cost of one slippage;
     sigma1_s / sigma2_s are the per-tick counter drift and per-slip jitter
     standard deviations; max_slippages bounds the discrete slippage count.
-    The two flags gate the drift and slippage terms so the ideal mode can
-    switch them off wholesale.
+    A zero sigma1_s or max_slippages switches the drift or slippage term off,
+    as in the default, ideal mode.
     """
 
     counter: CounterConfig = CounterConfig(32, 40e-9)
-    proc: ProcessorClock = ProcessorClock(2.5e-9)
+    t_g_s: float = 2.5e-9
     sigma1_s: float = 0.0
     sigma2_s: float = 0.0
     max_slippages: int = 0
-    drift_enabled: bool = False
-    slippage_enabled: bool = False
 
     def __post_init__(self):
+        if not (self.t_g_s > 0):
+            raise ValueError(f"t_g_s must be positive, got {self.t_g_s!r}")
         if self.sigma1_s < 0 or self.sigma2_s < 0:
             raise ValueError("drift/jitter standard deviations must be >= 0")
         if self.max_slippages < 0:
@@ -63,7 +64,10 @@ class ErrorModelParams:
 
 @dataclass(frozen=True)
 class ToAErrorSample:
-    """One realized timestamp error, with its additive breakdown."""
+    """Realized timestamp errors, with their additive breakdown.
+
+    Each field is a float, or an array of the sampled counts' shape.
+    """
 
     sync_offset_s: float
     drift_s: float
@@ -71,7 +75,7 @@ class ToAErrorSample:
     slippage_s: float
 
     @property
-    def total_s(self) -> float:
+    def total_s(self):
         """The full error e_t; by construction the sum of the components."""
         return self.sync_offset_s + self.drift_s + self.rounding_s + self.slippage_s
 
@@ -101,28 +105,32 @@ def sync_offset(sync: SyncNodeConfig, gw: Position, t_d_s: float) -> float:
 
 def sample_error(
     params: ErrorModelParams,
-    count: int,
+    count: int | np.ndarray,
     rng: np.random.Generator,
     sync_offset_s: float = 0.0,
 ) -> ToAErrorSample:
-    """Draw one gateway's timestamp error for a packet latched at reading ``count``.
+    """Draw timestamp errors for packets latched at counter reading ``count``.
 
-    The quantization residue is always present; drift and slippage appear
-    only when their flags are set. The caller supplies the deterministic
-    sync-offset component (see :func:`sync_offset`), since it depends on
-    geometry this module does not hold.
+    ``count`` is an int, giving one gateway's error as floats, or an integer
+    array, giving one error per reading, each term drawn as one array of
+    ``count``'s shape. Terms are drawn in a fixed order: drift, quantization,
+    slippage jitter, slippage count. The quantization residue is always
+    present; drift and slippage only when ``sigma1_s`` and ``max_slippages``
+    are positive. The caller supplies the deterministic sync-offset component
+    (see :func:`sync_offset`), since it depends on geometry this module does
+    not hold.
     """
-    if not 0 <= count < (1 << params.counter.n_bits):
-        raise ValueError(f"count {count!r} out of counter range")
-    drift = 0.0
-    if params.drift_enabled and params.sigma1_s > 0.0:
-        drift = count * rng.normal(0.0, params.sigma1_s)
-    rounding = rng.random() * params.counter.period_s
-    slippage = 0.0
-    if params.slippage_enabled and params.max_slippages > 0:
-        w2 = rng.normal(0.0, params.sigma2_s) if params.sigma2_s > 0.0 else 0.0
-        slips = int(rng.integers(0, params.max_slippages + 1))
-        slippage = slips * (params.proc.period_s + w2)
+    if np.min(count) < 0 or np.max(count) >= (1 << params.counter.n_bits):
+        raise ValueError(f"count out of the {params.counter.n_bits}-bit counter range")
+    size = np.shape(count) or None
+    drift = slippage = 0.0 if size is None else np.broadcast_to(0.0, size)
+    if params.sigma1_s > 0.0:
+        drift = count * rng.normal(0.0, params.sigma1_s, size)
+    rounding = rng.random(size) * params.counter.period_s
+    if params.max_slippages > 0:
+        w2 = rng.normal(0.0, params.sigma2_s, size) if params.sigma2_s > 0.0 else 0.0
+        slips = rng.integers(0, params.max_slippages + 1, size)
+        slippage = slips * (params.t_g_s + w2)
     return ToAErrorSample(
         sync_offset_s=sync_offset_s,
         drift_s=drift,

@@ -6,8 +6,9 @@ Two Monte Carlo experiments plus two design sweeps:
   period T: each sampled target's arrival times are shifted by +/-T in all
   8 sign combinations, and the per-target worst error is averaged.
 * ``error_map`` — spatial error map: per target, many transmissions each
-  draw a uniform [0, T) timing error per gateway, the 8 sign patterns are
-  applied on top, and the worst error over all estimates is kept.
+  draw a timing error per gateway from the ideal error model, U[0, T), the
+  8 sign patterns are applied on top, and the worst error over all
+  estimates is kept.
 * ``duty_cycle_grid`` — channel occupancy over a (time-on-air, counter bits)
   grid with feasibility against the 10% and 1% regulatory caps.
 * ``alpha_bounds`` — the admissible sync-period interval implied by sweeping
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counter import CounterConfig, overflow_time
-from .error_model import SIGN_PATTERNS
+from .counter import CounterConfig, quantize
+from .error_model import SIGN_PATTERNS, ErrorModelParams, sample_error
 from .geometry import GatewayTriple, canonical_triangle, sample_points_in_triangle
 from .lora_phy import RadioParams, duty_cycle, low_dr_opt_auto, time_on_air
 from .solver import forward_toa_batch, solve_closed_form_batch
@@ -242,20 +243,22 @@ def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
     """Spatial map of worst-case localization error.
 
     Each sampled target is "transmitted" ``n_transmissions`` times; every
-    transmission draws an independent uniform [0, T) timing error per
-    gateway, and all 8 sign patterns of those magnitudes are solved. The
+    transmission draws an independent timing error per gateway from the
+    ideal error model (:func:`lorafix.error_model.sample_error`), uniform on
+    [0, T), and all 8 sign patterns of those magnitudes are solved. The
     target keeps the largest error over its 8 * n_transmissions estimates.
+    Raises CounterOverflowError when an arrival, moved one period later,
+    would not fit the counter.
     """
+    params = ErrorModelParams(counter=CounterConfig(cfg.n_bits, cfg.T_s))
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points_in_triangle(cfg.gws, cfg.n_points, rng)
-    errs = rng.random((cfg.n_points, cfg.n_transmissions, 3)) * cfg.T_s
     t_clean = forward_toa_batch(pts, cfg.gws, 0.0)
-
-    span = overflow_time(CounterConfig(cfg.n_bits, cfg.T_s))
-    if float(t_clean.max()) + cfg.T_s >= span:
-        raise ValueError(
-            f"arrival times reach {t_clean.max():.3e} s, past the counter span {span:.3e} s"
-        )
+    counts = quantize(t_clean, params.counter)
+    # Perturbed arrivals reach up to one period later; those must fit too.
+    quantize(t_clean.max() + cfg.T_s, params.counter)
+    shape = (cfg.n_points, cfg.n_transmissions, 3)
+    errs = sample_error(params, np.broadcast_to(counts[:, None, :], shape), rng).total_s
 
     worst, fails = _worst_case(pts, t_clean, errs, cfg.gws, workers, per_set=False)
     worst = np.where(np.isfinite(worst[0]), worst[0], math.nan)

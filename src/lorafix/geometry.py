@@ -73,18 +73,13 @@ class SyncNodeConfig:
         Nominal (assumed) position of the sync node.
     pos_error : tuple of float
         True-minus-assumed position offset (dx0, dy0) in meters.
-    period_s : float
-        Interval between synchronization transmissions, seconds.
     """
 
     pos: Position
     pos_error: tuple[float, float] = (0.0, 0.0)
-    period_s: float = 1.0
 
     def __post_init__(self):
         _require_finite("position error", *self.pos_error)
-        if not (self.period_s > 0):
-            raise ValueError(f"sync period must be positive, got {self.period_s!r}")
 
 
 def _twice_signed_area(p: Position, q: Position, r: Position) -> float:
@@ -175,22 +170,18 @@ def sample_points_in_triangle(
     """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n!r}")
-    u = rng.random(n)
-    v = rng.random(n)
-    fold = u + v > 1.0
-    u[fold] = 1.0 - u[fold]
-    v[fold] = 1.0 - v[fold]
-    # Strict interiority: u, v and 1-u-v must all be positive.
-    bad = (u <= 0.0) | (v <= 0.0) | (u + v >= 1.0)
-    while np.any(bad):
-        k = int(bad.sum())
-        uu = rng.random(k)
-        vv = rng.random(k)
+    u = np.empty(n)
+    v = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        uu = rng.random(todo.size)
+        vv = rng.random(todo.size)
         fold = uu + vv > 1.0
         uu[fold] = 1.0 - uu[fold]
         vv[fold] = 1.0 - vv[fold]
-        u[bad] = uu
-        v[bad] = vv
-        bad = (u <= 0.0) | (v <= 0.0) | (u + v >= 1.0)
+        u[todo] = uu
+        v[todo] = vv
+        # Strict interiority: u, v and 1-u-v must all be positive.
+        todo = todo[(uu <= 0.0) | (vv <= 0.0) | (uu + vv >= 1.0)]
     g = triple.as_array()
     return g[0] + u[:, None] * (g[1] - g[0]) + v[:, None] * (g[2] - g[0])

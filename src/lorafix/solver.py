@@ -53,8 +53,7 @@ from .geometry import GatewayTriple, Position, contains, distance
 
 # Emission times earlier than this are rejected as ghost roots (unless that
 # would reject every candidate). Slightly negative values must survive: the
-# solver does not know the counter period, so the physical floor t0 > -T is
-# the caller's to tighten.
+# solver does not know the counter period, whose physical floor is t0 > -T.
 DEFAULT_T0_FLOOR_S = -1e-6
 
 # |t0| below this is numerical noise around zero and is snapped to exactly 0.
@@ -197,7 +196,7 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     return (r1, r2)
 
 
-def _select_candidate(cands, t, g, triple, t0_floor_s):
+def _select_candidate(cands, t, g, triple):
     """Pick the physical fix among algebraic candidates.
 
     ``cands`` holds (x, y, t0, root_index) tuples. Non-finite candidates are
@@ -217,7 +216,7 @@ def _select_candidate(cands, t, g, triple, t0_floor_s):
     scored = [
         (_range_residual(x, y, t0, t, g), x, y, t0, idx) for x, y, t0, idx in finite
     ]
-    passing = [s for s in scored if s[3] >= t0_floor_s] or scored
+    passing = [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored
     passing.sort(key=lambda s: (s[0], s[4]))
     tie_tol = _res_tie_tol(float(np.max(np.abs(t))))
     best = passing[0]
@@ -239,27 +238,31 @@ def _select_candidate(cands, t, g, triple, t0_floor_s):
     return LocalizationEstimate(Position(x, y), t0, res, idx)
 
 
-def solve_analytic(
-    obs: ToAObservation, gws: GatewayTriple, t0_floor_s: float = DEFAULT_T0_FLOOR_S
-) -> LocalizationEstimate:
+def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
     """Solve the three-gateway system by elimination on the augmented matrix.
 
-    Works about the gateway centroid (cx, cy), because absolute coordinates
-    lose precision when the origin lies far from the triangle. With a_j, b_j
-    the gateway coordinates relative to it, builds the 3x3 matrix A with rows
-    (a_j, b_j, c*t_j), solves A u = 1 and A v = m (m_j = a_j^2 + b_j^2 -
-    c^2 t_j^2) by Gaussian elimination, and closes with the scalar quadratic
-    in l = (x-cx)^2 + (y-cy)^2 - c^2 t0^2 using the indefinite inner product
-    (see module docstring). Candidates are
+    Works about the gateway centroid (cx, cy) and a time origin s, because
+    absolute coordinates and times lose precision when the origin lies far
+    from the triangle or the emission is late. With a_j, b_j the gateway
+    coordinates relative to the centroid, s puts the earliest arrival one
+    triangle radius R = max_j sqrt(a_j^2 + b_j^2) after it:
+    s = min_j t_j - R/c. Builds the 3x3 matrix A with rows
+    (a_j, b_j, c*(t_j - s)), solves A u = 1 and A v = m (m_j = a_j^2 + b_j^2
+    - c^2 (t_j - s)^2) by Gaussian elimination, and closes with the scalar
+    quadratic in l = (x-cx)^2 + (y-cy)^2 - c^2 (t0 - s)^2 using the
+    indefinite inner product (see module docstring). Candidates are
 
-        x = cx + (l*u1 + v1) / 2,  y = cy + (l*u2 + v2) / 2,  t0 = -(l*u3 + v3) / (2c).
+        x = cx + (l*u1 + v1) / 2,  y = cy + (l*u2 + v2) / 2,
+        t0 = s - (l*u3 + v3) / (2c).
+
+    The time column is then positive while the first two sum to zero, so it
+    never depends on them.
 
     Raises
     ------
     SingularGeometryError
-        If |det A| falls below a scale-relative threshold — collinear
-        gateways, or a timestamp pattern that makes the third column
-        dependent on the first two.
+        If |det A| falls below a scale-relative threshold: collinear or
+        numerically thin gateways.
     NoRealRootError
         If the closing quadratic has no real root beyond tolerance.
     """
@@ -271,13 +274,16 @@ def solve_analytic(
     A = np.empty((3, 3))
     A[:, 0] = g[:, 0] - cx
     A[:, 1] = g[:, 1] - cy
-    A[:, 2] = c * t
+    radius = max(math.hypot(p.x - cx, p.y - cy) for p in (gws.g1, gws.g2, gws.g3))
+    shift = min(obs.t1, obs.t2, obs.t3) - radius / c
+    A[:, 2] = c * (t - shift)
     scale = float(np.max(np.abs(A)))
     det = float(np.linalg.det(A))
     if scale == 0.0 or abs(det) < _DET_RTOL * scale**3:
         raise SingularGeometryError(f"arrival matrix is singular (det {det!r})")
-    m = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
-    uv_cols = np.linalg.solve(A, np.column_stack([np.ones(3), m]))
+    rhs = np.ones((3, 2))
+    rhs[:, 1] = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
+    uv_cols = np.linalg.solve(A, rhs)
     u = uv_cols[:, 0]
     v = uv_cols[:, 1]
     # Indefinite inner products: the third coordinate carries the imaginary
@@ -290,9 +296,9 @@ def solve_analytic(
     for idx, l in enumerate(roots):
         x = 0.5 * (l * u[0] + v[0]) + cx
         y = 0.5 * (l * u[1] + v[1]) + cy
-        t0 = -(l * u[2] + v[2]) / (2.0 * c)
+        t0 = -(l * u[2] + v[2]) / (2.0 * c) + shift
         cands.append((x, y, t0, idx))
-    return _select_candidate(cands, t, g, gws, t0_floor_s)
+    return _select_candidate(cands, t, g, gws)
 
 
 @dataclass(frozen=True)
@@ -307,9 +313,7 @@ class BatchSolveResult:
     ok: np.ndarray
 
 
-def solve_closed_form_batch(
-    toas: np.ndarray, gws: GatewayTriple, t0_floor_s: float = DEFAULT_T0_FLOOR_S
-) -> BatchSolveResult:
+def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveResult:
     """Closed-form TDoA solve of many observations at once.
 
     Works about the gateway centroid (cx, cy), like :func:`solve_analytic`,
@@ -343,8 +347,6 @@ def solve_closed_form_batch(
         Arrival-time rows.
     gws : GatewayTriple
         Gateway geometry shared by every row.
-    t0_floor_s : float
-        Ghost-root rejection floor on the emission time.
 
     Returns
     -------
@@ -428,7 +430,7 @@ def solve_closed_form_batch(
     res[bad_cand] = np.inf
 
     # t0 floor, ignored when it would reject both candidates.
-    passes = (t0 >= t0_floor_s) & ~bad_cand
+    passes = (t0 >= DEFAULT_T0_FLOOR_S) & ~bad_cand
     any_pass = passes[0] | passes[1]
     eff0, eff1 = np.where(passes | ~any_pass, res, np.inf)
 
@@ -460,9 +462,7 @@ def solve_closed_form_batch(
     )
 
 
-def solve_closed_form(
-    obs: ToAObservation, gws: GatewayTriple, t0_floor_s: float = DEFAULT_T0_FLOOR_S
-) -> LocalizationEstimate:
+def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
     """Closed-form TDoA solve of a single observation.
 
     Thin wrapper over :func:`solve_closed_form_batch` (one row), so the
@@ -476,9 +476,7 @@ def solve_closed_form(
         If the range quadratic has no real root: the measured hyperbolas
         fail to intersect.
     """
-    out = solve_closed_form_batch(
-        obs.as_array()[None, :], gws, t0_floor_s=t0_floor_s
-    )
+    out = solve_closed_form_batch(obs.as_array()[None, :], gws)
     if not bool(out.ok[0]):
         raise NoRealRootError("observation admits no real range solution")
     return LocalizationEstimate(

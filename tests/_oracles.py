@@ -38,3 +38,13 @@ ALPHA_ORACLE_MAX_S = 3.547136  # bw=125000, pl=51, cr=4, de=1
 # kilometers of light travel) whose hyperbolas provably fail to intersect:
 # both solver routes must reject it.
 NO_REAL_ROOT_OBS = (4.935035559303155e-06, -9.905510857120672e-06, 3.2415267559726525e-05)
+
+# A rootless observation with a late emission on a ~50 m triangle. The
+# closed form rejects it; the analytic route once fixed it 51 m off, because
+# its discriminant tolerance scaled with the emission time.
+LATE_ROOTLESS_GATEWAYS = (
+    (62.376327642260776, 0.0),
+    (108.6965454723262, -18.826508443556087),
+    (95.2204473626966, 13.861121414707503),
+)
+LATE_ROOTLESS_OBS = (7.666415484008273e-05, 7.676934448646851e-05, 7.688722537429156e-05)

@@ -217,7 +217,7 @@ def test_07_error_distributions(capfd):
     xs = np.array([sample_error(ideal, 0, rng).rounding_s for _ in range(100_000)])
     p_value = float(stats.kstest(xs / ideal.counter.period_s, "uniform").pvalue)
 
-    drifty = ErrorModelParams(sigma1_s=1e-12, drift_enabled=True)
+    drifty = ErrorModelParams(sigma1_s=1e-12)
     rng = np.random.default_rng(2719)
     ds = np.array([sample_error(drifty, 1_000_000, rng).drift_s for _ in range(100_000)])
     std = float(np.std(ds))

@@ -12,7 +12,13 @@ import pytest
 from lorafix import Position, canonical_triangle, forward_toa
 from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
-from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S, NO_REAL_ROOT_OBS
+from _oracles import (
+    ALPHA_ORACLE_MAX_S,
+    ALPHA_ORACLE_MIN_S,
+    LATE_ROOTLESS_GATEWAYS,
+    LATE_ROOTLESS_OBS,
+    NO_REAL_ROOT_OBS,
+)
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -85,6 +91,16 @@ class TestSolve:
         r = run_cli("solve", "--config", cfg)
         assert r.returncode == 2
         assert "no-real-root" in r.stderr
+
+    def test_late_rootless_observation_exit_2(self, tmp_path):
+        doc = {
+            "toa": list(LATE_ROOTLESS_OBS),
+            "geometry": {"gateways": [list(g) for g in LATE_ROOTLESS_GATEWAYS]},
+        }
+        r = run_cli("solve", "--config", write_config(tmp_path, doc))
+        assert r.returncode == 2
+        assert "no-real-root" in r.stderr
+        assert r.stdout == ""
 
     def test_wrong_arity_exit_1(self):
         r = run_cli("solve", "1e-5", "2e-5")
@@ -427,6 +443,13 @@ class TestStochasticReproducibility:
         assert r.returncode == 0
         assert "max error" in r.stdout
         assert out.read_text().startswith("x_m,y_m,max_error_m,failed_solves")
+
+    def test_error_map_counter_overflow_exit_2(self):
+        # An 8-bit counter at 40 ns wraps after 10 us, before the arrivals.
+        r = run_cli("error-map", "--n-bits", "8", "--seed", "1")
+        assert r.returncode == 2
+        assert "counter-overflow" in r.stderr
+        assert r.stdout == ""
 
 
 class TestIOFailures:

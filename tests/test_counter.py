@@ -44,6 +44,32 @@ def test_quantize_overflow_boundary():
     assert quantize(overflow_time(CFG32) - 2 * CFG32.period_s, CFG32) < 2**32
 
 
+def test_quantize_array_matches_scalar():
+    rng = np.random.default_rng(53)
+    ts = rng.uniform(0.0, 170.0, (40, 3))
+    counts = quantize(ts, CFG32)
+    assert counts.shape == (40, 3) and counts.dtype == np.uint64
+    assert counts.tolist() == [[quantize(float(t), CFG32) for t in row] for row in ts]
+    assert type(quantize(1.0, CFG32)) is int
+
+
+def test_quantize_array_checks_range():
+    with pytest.raises(CounterOverflowError):
+        quantize(np.array([0.0, overflow_time(CFG32)]), CFG32)
+    with pytest.raises(ValueError):
+        quantize(np.array([1.0, -1e-9]), CFG32)
+
+
+def test_quantize_64_bit_readings_do_not_wrap():
+    # The largest readings a 64-bit counter holds exceed the int64 range.
+    cfg = CounterConfig(n_bits=64, period_s=1.0)
+    top = float(2**64 - 2**11)  # the largest double below 2^64
+    assert quantize(top, cfg) == 2**64 - 2**11
+    assert quantize(np.array([top, 0.0]), cfg).tolist() == [2**64 - 2**11, 0]
+    with pytest.raises(CounterOverflowError):
+        quantize(np.array([float(2**64)]), cfg)
+
+
 def test_overflow_time_values():
     assert overflow_time(CFG32) == pytest.approx(171.79, abs=0.01)
     assert overflow_time(CounterConfig(n_bits=1, period_s=1.0)) == 2.0

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from lorafix import (
     DEFAULT_PL_CAPS,
     AlphaBounds,
+    CounterOverflowError,
     ErrorMapConfig,
     SweepConfig,
     alpha_bounds,
@@ -201,6 +203,16 @@ class TestErrorMap:
         # flight time across a 10 km cell: the map must refuse to run.
         with pytest.raises(ValueError):
             error_map(ErrorMapConfig(n_bits=8, n_points=50, n_transmissions=2, seed=7))
+
+    def test_counter_span_guard_allows_one_period(self):
+        # A 4-bit span of 16 T: the latest clean arrival t_max fits at
+        # T = t_max / 15.5, but t_max + T does not; at T = t_max / 14.5 both fit.
+        cfg = ErrorMapConfig(n_bits=4, n_points=50, n_transmissions=2, seed=7)
+        pts = sample_points_in_triangle(cfg.gws, cfg.n_points, np.random.default_rng(cfg.seed))
+        t_max = float(forward_toa_batch(pts, cfg.gws, 0.0).max())
+        with pytest.raises(CounterOverflowError):
+            error_map(replace(cfg, T_s=t_max / 15.5))
+        assert error_map(replace(cfg, T_s=t_max / 14.5)).points.shape == (50, 2)
 
 
 class TestDutyCycleGrid:

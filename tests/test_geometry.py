@@ -188,6 +188,25 @@ class TestSampling:
         b = sample_points_in_triangle(tri, 1000, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    def test_boundary_draws_are_redrawn(self):
+        """Draws on the boundary are redrawn, and only those, in index order."""
+
+        class Scripted:
+            def __init__(self, *draws):
+                self.draws, self.sizes = list(draws), []
+
+            def random(self, k):
+                self.sizes.append(k)
+                return np.array(self.draws.pop(0), dtype=float)
+
+        unit = GatewayTriple(Position(0.0, 0.0), Position(1.0, 0.0), Position(0.0, 1.0))
+        # Point 0 has u = 0 and point 1 has u + v = 1; their redraw for
+        # point 1 needs a fold.
+        rng = Scripted([0.0, 0.25, 0.6], [0.5, 0.75, 0.2], [0.1, 0.9], [0.2, 0.3])
+        pts = sample_points_in_triangle(unit, 3, rng)
+        assert rng.sizes == [3, 3, 2, 2]
+        assert pts.tolist() == [[0.1, 0.2], [1.0 - 0.9, 1.0 - 0.3], [0.6, 0.2]]
+
     def test_mean_approaches_centroid(self):
         tri = canonical_triangle(10000.0)
         pts = sample_points_in_triangle(tri, 100000, np.random.default_rng(33))

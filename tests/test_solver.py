@@ -31,7 +31,7 @@ from lorafix.solver import (
     _res_tie_tol,
 )
 
-from _oracles import NO_REAL_ROOT_OBS
+from _oracles import LATE_ROOTLESS_GATEWAYS, LATE_ROOTLESS_OBS, NO_REAL_ROOT_OBS
 
 TRI = canonical_triangle(10000.0)
 
@@ -57,7 +57,7 @@ def _triple(verts):
     return GatewayTriple(*(Position(float(x), float(y)) for x, y in verts))
 
 
-def _reference_batch(toas, gws, t0_floor_s=DEFAULT_T0_FLOOR_S):
+def _reference_batch(toas, gws):
     """Reference batch solve: the root-per-column (n, 2) layout with
     ``np.hypot`` ranges, in absolute coordinates."""
     c = SPEED_OF_LIGHT
@@ -120,7 +120,7 @@ def _reference_batch(toas, gws, t0_floor_s=DEFAULT_T0_FLOOR_S):
     bad_cand = ~np.isfinite(res)
     res[bad_cand] = np.inf
 
-    passes = (t0 >= t0_floor_s) & ~bad_cand
+    passes = (t0 >= DEFAULT_T0_FLOOR_S) & ~bad_cand
     any_pass = passes[:, 0] | passes[:, 1]
     eff = np.where(passes | ~any_pass[:, None], res, np.inf)
     eff0, eff1 = eff[:, 0], eff[:, 1]
@@ -261,6 +261,38 @@ class TestRouteEquivalence:
                 continue
             b = solve_closed_form(obs, TRI)
             assert distance(a.pos, b.pos) < 1e-3
+
+    def test_seeded_far_offset_rows(self):
+        """The scalar analytic route and the batch route agree on 20k rows:
+        500 triangles of 1 cm to 50 km, rotated and shifted by up to 100
+        sizes, with emissions up to 0.1 ms late and timestamps perturbed by
+        up to 5 light-times of the triangle. Seeded NumPy, unlike the
+        Hypothesis route test, draws the same rows whatever else the
+        session imports."""
+        rng = np.random.default_rng(20_000)
+        splits, gaps = [], []
+        for k in range(500):
+            size = 10.0 ** rng.uniform(-2.0, math.log10(5e4))
+            verts = _random_triangle(rng, size, 15.0) + rng.uniform(-100.0, 100.0, 2) * size
+            gws = _triple(verts)
+            targets = rng.dirichlet([1.0, 1.0, 1.0], 40) @ verts
+            toas = forward_toa_batch(targets, gws, rng.uniform(0.0, 1e-4, 40))
+            rel = rng.choice([0.0, 1e-4, 1e-2, 0.2, 1.0, 5.0], (40, 1))
+            toas += rng.uniform(-1.0, 1.0, toas.shape) * (rel * size / SPEED_OF_LIGHT)
+            out = solve_closed_form_batch(toas, gws)
+            for i, row in enumerate(toas):
+                try:
+                    est = solve_analytic(ToAObservation(*row), gws)
+                except NoRealRootError:
+                    if out.ok[i]:
+                        splits.append((k, i))
+                    continue
+                if not out.ok[i]:
+                    splits.append((k, i))
+                elif math.hypot(est.pos.x - out.x[i], est.pos.y - out.y[i]) > 1e-3:
+                    gaps.append((k, i))
+        assert splits == []
+        assert gaps == []
 
 
 def distance(p, q):
@@ -416,14 +448,20 @@ class TestResidual:
 
 
 class TestDegenerateInputs:
-    def test_analytic_rejects_dependent_time_column(self):
-        # The arrival matrix is built about the gateway centroid (2/3, 2/3), so
-        # c*t_j = (a_j - 2/3) + (b_j - 2/3) makes it rank 2.
+    def test_analytic_solves_centred_dependent_time_column(self):
+        # About the gateway centroid (2/3, 2/3), c*t_j = (a_j - 2/3) + (b_j - 2/3)
+        # is the sum of the two coordinate columns. The analytic route's time
+        # origin, one triangle radius before the earliest arrival, makes the
+        # time column positive, so it solves, to the closed form's answer.
         tri = GatewayTriple(Position(1.0, 0.0), Position(0.0, 1.0), Position(1.0, 1.0))
         c = SPEED_OF_LIGHT
         obs = ToAObservation(-1.0 / (3.0 * c), -1.0 / (3.0 * c), 2.0 / (3.0 * c))
-        with pytest.raises(SingularGeometryError):
-            solve_analytic(obs, tri)
+        est = solve_analytic(obs, tri)
+        ref = solve_closed_form(obs, tri)
+        assert distance(est.pos, ref.pos) < 1e-9
+        assert est.t0_s == pytest.approx(ref.t0_s, rel=1e-12)
+        assert est.residual_m == pytest.approx(ref.residual_m, rel=1e-12)
+        assert est.root_index == ref.root_index
 
     def test_sliver_triangle_rejected_by_both_routes(self):
         # Thin enough that the difference system is numerically rank 1,
@@ -443,3 +481,11 @@ class TestDegenerateInputs:
             solve_closed_form(obs, TRI)
         with pytest.raises(NoRealRootError):
             solve_analytic(obs, TRI)
+
+    def test_late_rootless_observation_rejected_by_both_routes(self):
+        tri = _triple(LATE_ROOTLESS_GATEWAYS)
+        obs = ToAObservation(*LATE_ROOTLESS_OBS)
+        with pytest.raises(NoRealRootError):
+            solve_closed_form(obs, tri)
+        with pytest.raises(NoRealRootError):
+            solve_analytic(obs, tri)
