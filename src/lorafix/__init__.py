@@ -16,7 +16,6 @@ from .constants import SPEED_OF_LIGHT
 from .counter import (
     CounterConfig,
     CounterOverflowError,
-    counter_to_time,
     overflow_time,
     quantize,
     rtc_drift_error,
@@ -72,7 +71,6 @@ from .solver import (
     forward_toa,
     forward_toa_batch,
     localization_error,
-    residual,
     solve_analytic,
     solve_closed_form,
     solve_closed_form_batch,
@@ -84,7 +82,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "CounterConfig",
     "CounterOverflowError",
-    "counter_to_time",
     "overflow_time",
     "quantize",
     "rtc_drift_error",
@@ -130,7 +127,6 @@ __all__ = [
     "forward_toa",
     "forward_toa_batch",
     "localization_error",
-    "residual",
     "solve_analytic",
     "solve_closed_form",
     "solve_closed_form_batch",

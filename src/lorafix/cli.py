@@ -267,7 +267,7 @@ def cmd_airtime(args, cfg) -> int:
     radio = _radio(cfg)
     ctr = _counter(cfg)
     tau = time_on_air(radio)
-    delta = duty_cycle(tau, ctr.n_bits, ctr.period_s)
+    delta = duty_cycle(tau, ctr)
     cols = ["T_sym_s", "T_preamble_s", "payload_symbols", "tau_s", "n_bits", "T_s", "delta"]
     rows = [[
         symbol_duration(radio), preamble_duration(radio), payload_symbol_count(radio),
@@ -328,9 +328,8 @@ def cmd_error_map(args, cfg) -> int:
     points = _get(cfg, "map.points", int)
     transmissions = _get(cfg, "map.transmissions", int)
     mcfg = ErrorMapConfig(
-        T_s=ctr.period_s, n_bits=ctr.n_bits, n_points=points,
-        n_transmissions=transmissions, seed=seed, gws=gws,
-    )  # fmt: skip
+        counter=ctr, n_points=points, n_transmissions=transmissions, seed=seed, gws=gws
+    )
     workers = _get(cfg, "workers", int)
     _progress(
         f"error-map: {points} targets x {transmissions} transmissions, "
@@ -360,7 +359,7 @@ def cmd_alpha_bounds(args, cfg) -> int:
     bounds = alpha_bounds(
         sf=_get(cfg, "alpha.sf", int),
         pl_caps=caps,
-        cr_range=range(cr[0], cr[-1] + 1),
+        cr_range=cr,
         n_preamble=_get(cfg, "alpha.preamble", int),
     )
 

@@ -45,13 +45,6 @@ def quantize(t_true_s, cfg: CounterConfig):
     return int(n) if n.ndim == 0 else n.astype(np.uint64)
 
 
-def counter_to_time(count: int, cfg: CounterConfig) -> float:
-    """Left grid point N * T for a counter reading; inverse of quantize."""
-    if not 0 <= count < (1 << cfg.n_bits):
-        raise ValueError(f"count {count!r} out of range for {cfg.n_bits} bits")
-    return count * cfg.period_s
-
-
 def overflow_time(cfg: CounterConfig) -> float:
     """Time span 2^n * T after which the counter wraps, seconds."""
     return float(1 << cfg.n_bits) * cfg.period_s

@@ -61,6 +61,8 @@ class SweepConfig:
         start, stop, step = self.T_range
         if not (step > 0):
             raise ValueError(f"T step must be positive, got {step!r}")
+        if not (start > 0):
+            raise ValueError(f"T range start must be positive, got {start!r}")
         if not (stop >= start):
             raise ValueError(f"T range stop {stop!r} is below its start {start!r}")
         if self.n_points < 1:
@@ -75,27 +77,19 @@ class EmaxResult:
     e_max_m: np.ndarray
     sigma_m: np.ndarray
     failed_solves: np.ndarray
-    n_points: int
-
-    def band(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) of the mean +/- k*sigma confidence band."""
-        return (self.e_max_m - k * self.sigma_m, self.e_max_m + k * self.sigma_m)
 
 
 @dataclass(frozen=True)
 class ErrorMapConfig:
     """Protocol of the spatial error map."""
 
-    T_s: float = 40e-9
-    n_bits: int = 32
+    counter: CounterConfig = CounterConfig(32, 40e-9)
     n_points: int = 7050
     n_transmissions: int = 23
     seed: int = 0
     gws: GatewayTriple = field(default_factory=_default_triangle)
 
     def __post_init__(self):
-        if not (self.T_s > 0):
-            raise ValueError(f"T_s must be positive, got {self.T_s!r}")
         if self.n_points < 1 or self.n_transmissions < 1:
             raise ValueError("n_points and n_transmissions must be >= 1")
 
@@ -107,7 +101,6 @@ class ErrorMapResult:
     points: np.ndarray
     max_error_m: np.ndarray
     failed_solves: np.ndarray
-    T_s: float
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,6 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
         e_max_m=e_max,
         sigma_m=sigma,
         failed_solves=fails.sum(axis=1),
-        n_points=cfg.n_points,
     )
 
 
@@ -250,19 +242,19 @@ def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
     Raises CounterOverflowError when an arrival, moved one period later,
     would not fit the counter.
     """
-    params = ErrorModelParams(counter=CounterConfig(cfg.n_bits, cfg.T_s))
+    params = ErrorModelParams(counter=cfg.counter)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points_in_triangle(cfg.gws, cfg.n_points, rng)
     t_clean = forward_toa_batch(pts, cfg.gws, 0.0)
-    counts = quantize(t_clean, params.counter)
+    counts = quantize(t_clean, cfg.counter)
     # Perturbed arrivals reach up to one period later; those must fit too.
-    quantize(t_clean.max() + cfg.T_s, params.counter)
+    quantize(t_clean.max() + cfg.counter.period_s, cfg.counter)
     shape = (cfg.n_points, cfg.n_transmissions, 3)
     errs = sample_error(params, np.broadcast_to(counts[:, None, :], shape), rng).total_s
 
     worst, fails = _worst_case(pts, t_clean, errs, cfg.gws, workers, per_set=False)
     worst = np.where(np.isfinite(worst[0]), worst[0], math.nan)
-    return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails[0], T_s=cfg.T_s)
+    return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails[0])
 
 
 def duty_cycle_grid(tau_values, n_values, T_s: float) -> list[DutyCycleCell]:
@@ -274,7 +266,7 @@ def duty_cycle_grid(tau_values, n_values, T_s: float) -> list[DutyCycleCell]:
     cells = []
     for tau in tau_values:
         for n in n_values:
-            d = duty_cycle(tau, n, T_s)
+            d = duty_cycle(tau, CounterConfig(n, T_s))
             cells.append(
                 DutyCycleCell(
                     tau_s=float(tau),
@@ -295,24 +287,22 @@ DEFAULT_PL_CAPS = {125000: 51, 250000: 51, 500000: 33}
 
 def alpha_bounds(
     sf: int = 12,
-    bw_set=None,
     pl_caps=None,
     cr_range=(1, 2, 3, 4),
     n_preamble: int = 8,
 ) -> AlphaBounds:
     """Admissible sync-period interval from the airtime cross-product.
 
-    Over payload length 1..cap and coding rate for every bandwidth (the
-    low-data-rate flag follows the symbol-duration rule), returns the
-    extreme packet durations together with the first configurations, in
-    bandwidth, coding-rate, payload order, attaining them. A sync period
+    Over payload length 1..cap and coding rate for every bandwidth that
+    ``pl_caps`` maps to a cap (the low-data-rate flag follows the
+    symbol-duration rule), returns the extreme packet durations together
+    with the first configurations, in bandwidth, coding-rate, payload
+    order, attaining them. A sync period
     must be at least the longest packet and gains nothing below the
     shortest, so [tau_min, tau_max] brackets the design.
     Raises ValueError when the cross product is empty.
     """
-    caps = dict(DEFAULT_PL_CAPS if pl_caps is None else pl_caps)
-    if bw_set is not None:
-        caps = {bw: caps[bw] for bw in bw_set}
+    caps = DEFAULT_PL_CAPS if pl_caps is None else pl_caps
 
     def params(bw, cr, pl, de):
         return RadioParams(

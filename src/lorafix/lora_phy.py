@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counter import CounterConfig, overflow_time
+
 VALID_BW_HZ = (125000, 250000, 500000)
 
 # Low-data-rate optimization is mandated by LoRa chipsets once symbols grow
@@ -107,16 +109,12 @@ def time_on_air(params: RadioParams) -> float:
     return preamble_duration(params) + payload_symbol_count(params) * symbol_duration(params)
 
 
-def duty_cycle(tau_s: float, n_bits: int, period_s: float) -> float:
+def duty_cycle(tau_s: float, counter: CounterConfig) -> float:
     """Channel occupancy ratio for one transmission per counter rollover.
 
-    A packet of duration ``tau_s`` sent once every ``2**n_bits * period_s``
-    seconds occupies delta = tau / (2^n * T) of the channel.
+    A packet of duration ``tau_s`` sent once every counter span 2^n * T
+    occupies delta = tau / (2^n * T) of the channel.
     """
     if not (tau_s > 0):
         raise ValueError(f"tau_s must be positive, got {tau_s!r}")
-    if not 1 <= n_bits <= 64:
-        raise ValueError(f"n_bits must be in 1..64, got {n_bits!r}")
-    if not (period_s > 0):
-        raise ValueError(f"period_s must be positive, got {period_s!r}")
-    return tau_s / (float(2**n_bits) * period_s)
+    return tau_s / overflow_time(counter)

@@ -171,11 +171,6 @@ def _range_residual(x: float, y: float, t0: float, t: np.ndarray, g: np.ndarray)
     return math.sqrt(s / 3.0)
 
 
-def residual(est: LocalizationEstimate, obs: ToAObservation, gws: GatewayTriple) -> float:
-    """RMS range residual of an estimate against an observation, meters."""
-    return _range_residual(est.pos.x, est.pos.y, est.t0_s, obs.as_array(), gws.as_array())
-
-
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     """Both roots of a*x^2 + b*x + c = 0 via the cancellation-safe form.
 

@@ -149,10 +149,26 @@ class TestAlphaBounds:
         assert vals[2] == "sf=12 bw=125000 cr=1 pl=1 de=1"
 
     def test_empty_coding_rate_range_exit_1(self, tmp_path):
-        cfg = write_config(tmp_path, {"alpha": {"cr": [4, 1]}})
+        # A zero payload cap leaves no payload to sweep at the only bandwidth.
+        cfg = write_config(tmp_path, {"alpha": {"pl_caps": {"125000": 0}}})
         r = run_cli("alpha-bounds", "--config", cfg)
         assert r.returncode == 1
         assert "cross product is empty" in r.stderr
+
+    def test_coding_rates_are_a_set(self, tmp_path):
+        # alpha.cr lists the rates to sweep: their order does not matter.
+        tables = []
+        for name, cr in (("a.json", [4, 1]), ("b.json", [1, 4])):
+            r = run_cli("alpha-bounds", "--config", write_config(tmp_path, {"alpha": {"cr": cr}}, name))
+            assert r.returncode == 0, r.stderr
+            tables.append(r.stdout)
+        assert tables[0] == tables[1]
+
+    def test_every_listed_coding_rate_checked(self, tmp_path):
+        cfg = write_config(tmp_path, {"alpha": {"cr": [1, 9, 4]}})
+        r = run_cli("alpha-bounds", "--config", cfg)
+        assert r.returncode == 1
+        assert "cr must be in 1..4, got 9" in r.stderr
 
 
 class TestDutyCycleGrid:
@@ -173,6 +189,13 @@ class TestSweepRange:
         r = run_cli("sweep-emax", "--config", cfg, "--seed", "1")
         assert r.returncode == 1
         assert "below its start" in r.stderr
+
+    def test_nonpositive_start_exit_1(self, tmp_path):
+        sweep = {"start_ns": -5, "stop_ns": 5, "step_ns": 5, "points": 50}
+        cfg = write_config(tmp_path, {"sweep": sweep})
+        r = run_cli("sweep-emax", "--config", cfg, "--seed", "1")
+        assert r.returncode == 1
+        assert "T range start must be positive, got -5e-09" in r.stderr
 
 
 class TestWorkers:

@@ -6,7 +6,6 @@ import pytest
 from lorafix import (
     CounterConfig,
     CounterOverflowError,
-    counter_to_time,
     overflow_time,
     quantize,
     rtc_drift_error,
@@ -83,24 +82,12 @@ def test_overflow_time_doubles_per_bit():
         )
 
 
-def test_counter_to_time():
-    assert counter_to_time(2, CFG32) == pytest.approx(80e-9, rel=1e-12)
-    assert counter_to_time(0, CFG32) == 0.0
-
-
-def test_counter_to_time_range_check():
-    with pytest.raises(ValueError):
-        counter_to_time(-1, CFG32)
-    with pytest.raises(ValueError):
-        counter_to_time(2**32, CFG32)
-
-
 def test_roundtrip_residue_in_period():
     """Quantize-then-reconstruct never moves an instant by a full tick."""
     rng = np.random.default_rng(52)
     for t in rng.uniform(0.0, 170.0, 1000):
         n = quantize(float(t), CFG32)
-        back = counter_to_time(n, CFG32)
+        back = n * CFG32.period_s
         assert back <= t
         assert t - back < CFG32.period_s * (1 + 1e-9)
 

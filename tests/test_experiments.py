@@ -8,6 +8,7 @@ from scipy import stats
 from lorafix import (
     DEFAULT_PL_CAPS,
     AlphaBounds,
+    CounterConfig,
     CounterOverflowError,
     ErrorMapConfig,
     SweepConfig,
@@ -127,7 +128,6 @@ class TestSweepEmax:
         res = sweep_emax(SMALL_SWEEP)
         assert res.T_s.shape == res.e_max_m.shape == res.sigma_m.shape
         assert len(res.T_s) == 6
-        assert res.n_points == 400
         assert np.all(res.e_max_m > 0)
         assert np.all(res.sigma_m > 0)
 
@@ -161,11 +161,10 @@ class TestSweepEmax:
     def test_stop_below_start_rejected(self):
         with pytest.raises(ValueError, match="below its start"):
             SweepConfig(T_range=(20e-9, 10e-9, 2.5e-9))
-
-    def test_band(self):
-        res = sweep_emax(SMALL_SWEEP)
-        lo, hi = res.band(3)
-        assert np.all(lo < res.e_max_m) and np.all(res.e_max_m < hi)
+        # A start at or below zero would put non-positive periods on the grid.
+        for start in (-5e-9, 0.0):
+            with pytest.raises(ValueError, match="start must be positive"):
+                SweepConfig(T_range=(start, 5e-9, 5e-9))
 
 
 class TestErrorMap:
@@ -173,7 +172,6 @@ class TestErrorMap:
         res = error_map(SMALL_MAP)
         assert res.points.shape == (300, 2)
         assert res.max_error_m.shape == (300,)
-        assert res.T_s == SMALL_MAP.T_s
         assert np.all(np.isfinite(res.max_error_m))
         assert np.all(res.max_error_m >= 0)
         assert int(np.sum(res.failed_solves)) == 0
@@ -193,26 +191,27 @@ class TestErrorMap:
 
     def test_tiny_period_gives_tiny_errors(self):
         # 64 bits keep the counter span above the flight time at T = 1 fs.
-        res = error_map(
-            ErrorMapConfig(T_s=1e-15, n_bits=64, n_points=100, n_transmissions=2, seed=6)
-        )
+        cfg = ErrorMapConfig(counter=CounterConfig(64, 1e-15), n_points=100, n_transmissions=2, seed=6)
+        res = error_map(cfg)
         assert float(np.max(res.max_error_m)) < 1e-4
 
     def test_counter_span_guard(self):
         # An 8-bit counter at 40 ns wraps after ~10 us, shorter than the
         # flight time across a 10 km cell: the map must refuse to run.
+        cfg = ErrorMapConfig(counter=CounterConfig(8, 40e-9), n_points=50, n_transmissions=2, seed=7)
         with pytest.raises(ValueError):
-            error_map(ErrorMapConfig(n_bits=8, n_points=50, n_transmissions=2, seed=7))
+            error_map(cfg)
 
     def test_counter_span_guard_allows_one_period(self):
         # A 4-bit span of 16 T: the latest clean arrival t_max fits at
         # T = t_max / 15.5, but t_max + T does not; at T = t_max / 14.5 both fit.
-        cfg = ErrorMapConfig(n_bits=4, n_points=50, n_transmissions=2, seed=7)
+        cfg = ErrorMapConfig(n_points=50, n_transmissions=2, seed=7)
         pts = sample_points_in_triangle(cfg.gws, cfg.n_points, np.random.default_rng(cfg.seed))
         t_max = float(forward_toa_batch(pts, cfg.gws, 0.0).max())
         with pytest.raises(CounterOverflowError):
-            error_map(replace(cfg, T_s=t_max / 15.5))
-        assert error_map(replace(cfg, T_s=t_max / 14.5)).points.shape == (50, 2)
+            error_map(replace(cfg, counter=CounterConfig(4, t_max / 15.5)))
+        fits = replace(cfg, counter=CounterConfig(4, t_max / 14.5))
+        assert error_map(fits).points.shape == (50, 2)
 
 
 class TestDutyCycleGrid:
@@ -222,7 +221,7 @@ class TestDutyCycleGrid:
         cells = duty_cycle_grid(taus, ns, 40e-9)
         assert len(cells) == 9
         for cell in cells:
-            assert cell.delta == duty_cycle(cell.tau_s, cell.n_bits, cell.T_s)
+            assert cell.delta == duty_cycle(cell.tau_s, CounterConfig(cell.n_bits, cell.T_s))
 
     def test_reference_cell(self):
         (cell,) = duty_cycle_grid([1.0], [32], 40e-9)
@@ -242,11 +241,9 @@ class TestDutyCycleGrid:
         assert flips == sorted(flips)  # False ... False True ... True
 
 
-def _swept_alpha_bounds(sf=12, bw_set=None, pl_caps=None, cr_range=(1, 2, 3, 4), n_preamble=8):
+def _swept_alpha_bounds(sf=12, pl_caps=None, cr_range=(1, 2, 3, 4), n_preamble=8):
     """Reference: every (bandwidth, coding rate, payload) in sweep order."""
-    caps = dict(DEFAULT_PL_CAPS if pl_caps is None else pl_caps)
-    if bw_set is not None:
-        caps = {bw: caps[bw] for bw in bw_set}
+    caps = DEFAULT_PL_CAPS if pl_caps is None else pl_caps
     best_min = None
     best_max = None
     for bw in sorted(caps):
@@ -284,7 +281,7 @@ class TestAlphaBounds:
         assert res.argmin == res.argmax
 
     def test_bw_subset(self):
-        res = alpha_bounds(bw_set=[125000])
+        res = alpha_bounds(pl_caps={125000: 51})
         assert res.argmin.bw_hz == 125000
         assert res.tau_max_s == pytest.approx(ALPHA_ORACLE_MAX_S, abs=1e-9)
         assert res.tau_min_s > ALPHA_ORACLE_MIN_S
@@ -299,8 +296,6 @@ class TestAlphaBounds:
                 cr_range=tuple(int(cr) for cr in rng.permutation(4)[: rng.integers(1, 5)] + 1),
                 n_preamble=int(rng.integers(1, 21)),
             )
-            if rng.random() < 0.5:
-                kwargs["bw_set"] = bws[: rng.integers(1, len(bws) + 1)]
             assert alpha_bounds(**kwargs) == _swept_alpha_bounds(**kwargs), kwargs
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorafix import (
+    CounterConfig,
     RadioParams,
     duty_cycle,
     low_dr_opt_auto,
@@ -158,24 +159,24 @@ class TestRadioParamsValidation:
             RadioParams(**base)
 
 
+CFG32 = CounterConfig(n_bits=32, period_s=40e-9)
+
+
 class TestDutyCycle:
     def test_full_window_is_one(self):
         # Airtime equal to the whole counter span uses it exactly.
-        assert duty_cycle(float(2**32) * 40e-9, 32, 40e-9) == 1.0
+        assert duty_cycle(float(2**32) * 40e-9, CFG32) == 1.0
 
     def test_halves_per_extra_bit(self):
-        d = duty_cycle(1.0, 32, 40e-9)
-        assert duty_cycle(1.0, 33, 40e-9) == d / 2
+        d = duty_cycle(1.0, CFG32)
+        assert duty_cycle(1.0, CounterConfig(33, 40e-9)) == d / 2
 
     def test_reference_point(self):
-        d = duty_cycle(1.0, 32, 40e-9)
+        d = duty_cycle(1.0, CFG32)
         assert d == pytest.approx(1.0 / 171.79869184, rel=1e-12)
         assert round(d, 5) == 0.00582
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            duty_cycle(-1.0, 32, 40e-9)
-        with pytest.raises(ValueError):
-            duty_cycle(1.0, 0, 40e-9)
-        with pytest.raises(ValueError):
-            duty_cycle(1.0, 32, 0.0)
+        # n_bits and the period are checked by CounterConfig itself.
+        with pytest.raises(ValueError, match="tau_s must be positive"):
+            duty_cycle(-1.0, CFG32)

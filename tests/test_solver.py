@@ -15,7 +15,6 @@ from lorafix import (
     forward_toa,
     forward_toa_batch,
     localization_error,
-    residual,
     sample_points_in_triangle,
     solve_analytic,
     solve_closed_form,
@@ -28,6 +27,7 @@ from lorafix.solver import (
     _T0_CLAMP_S,
     DEFAULT_T0_FLOOR_S,
     BatchSolveResult,
+    _range_residual,
     _res_tie_tol,
 )
 
@@ -429,14 +429,18 @@ class TestInvariances:
         assert err[1.0] / err[0.5] == pytest.approx(2.0, rel=0.1)
 
 
+def _residual(est, obs):
+    return _range_residual(est.pos.x, est.pos.y, est.t0_s, obs.as_array(), TRI.as_array())
+
+
 class TestResidual:
     def test_exact_solution_has_tiny_residual(self):
         for (x, y) in _random_interior(200, 86):
             obs = forward_toa(Position(float(x), float(y)), TRI, 5e-4)
             est = solve_closed_form(obs, TRI)
             assert est.residual_m < 1e-6
-            # Public recomputation agrees with the stored value.
-            assert residual(est, obs, TRI) == pytest.approx(est.residual_m, abs=1e-9)
+            # The analytic route's scalar residual agrees with the batch one.
+            assert _residual(est, obs) == pytest.approx(est.residual_m, abs=1e-9)
 
     def test_displaced_estimate_has_positive_residual(self):
         obs = forward_toa(Position(0.0, 0.0), TRI, 1e-4)
@@ -444,7 +448,7 @@ class TestResidual:
         moved = LocalizationEstimate(
             Position(est.pos.x + 1.0, est.pos.y), est.t0_s, est.residual_m, est.root_index
         )
-        assert residual(moved, obs, TRI) > 0.5
+        assert _residual(moved, obs) > 0.5
 
 
 class TestDegenerateInputs:
