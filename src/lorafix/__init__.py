@@ -5,8 +5,7 @@ arrivals with free-running n-bit counters reset by a stationary sync
 transmitter, and provides:
 
 * exact forward/inverse position solvers (analytic and closed-form routes),
-* the stochastic timestamp-error model (quantization, drift, slippage,
-  sync placement skew),
+* the stochastic timestamp-error model (quantization, drift, slippage),
 * LoRa time-on-air and duty-cycle arithmetic for sizing the sync period,
 * reproducible Monte Carlo experiments mapping timing error to position
   error across the triangle.
@@ -22,11 +21,9 @@ from .counter import (
 )
 from .error_model import (
     SIGN_PATTERNS,
-    DegenerateSyncTimingError,
     ErrorModelParams,
     ToAErrorSample,
     sample_error,
-    sync_offset,
 )
 from .experiments import (
     DEFAULT_PL_CAPS,
@@ -45,10 +42,8 @@ from .geometry import (
     CollinearGatewaysError,
     GatewayTriple,
     Position,
-    SyncNodeConfig,
     barycentric,
     canonical_triangle,
-    circumcenter,
     contains,
     distance,
     sample_points_in_triangle,
@@ -70,7 +65,6 @@ from .solver import (
     ToAObservation,
     forward_toa,
     forward_toa_batch,
-    localization_error,
     solve_analytic,
     solve_closed_form,
     solve_closed_form_batch,
@@ -86,11 +80,9 @@ __all__ = [
     "quantize",
     "rtc_drift_error",
     "SIGN_PATTERNS",
-    "DegenerateSyncTimingError",
     "ErrorModelParams",
     "ToAErrorSample",
     "sample_error",
-    "sync_offset",
     "AlphaBounds",
     "DEFAULT_PL_CAPS",
     "DutyCycleCell",
@@ -105,10 +97,8 @@ __all__ = [
     "CollinearGatewaysError",
     "GatewayTriple",
     "Position",
-    "SyncNodeConfig",
     "barycentric",
     "canonical_triangle",
-    "circumcenter",
     "contains",
     "distance",
     "sample_points_in_triangle",
@@ -126,7 +116,6 @@ __all__ = [
     "ToAObservation",
     "forward_toa",
     "forward_toa_batch",
-    "localization_error",
     "solve_analytic",
     "solve_closed_form",
     "solve_closed_form_batch",

@@ -26,7 +26,6 @@ import sys
 import numpy as np
 
 from .counter import CounterConfig, CounterOverflowError
-from .error_model import DegenerateSyncTimingError
 from .experiments import (
     ErrorMapConfig,
     SweepConfig,
@@ -306,17 +305,18 @@ def cmd_sweep_emax(args, cfg) -> int:
 
 
 def cmd_dutycycle_grid(args, cfg) -> int:
-    ctr = _counter(cfg)
+    # Only the period: the grid's own n_bits replace counter.n_bits.
+    T_s = _get(cfg, "counter.T_ns", float) * 1e-9
     tau_values = _nums(_get(cfg, "grid.tau_s"), "grid.tau_s")
     n_values = _nums(_get(cfg, "grid.n_bits"), "grid.n_bits", int)
-    cells = duty_cycle_grid(tau_values, n_values, ctr.period_s)
+    cells = duty_cycle_grid(tau_values, n_values, T_s)
     cols = ["tau_s", "n_bits", "T_s", "delta", "feasible_10pct", "feasible_1pct"]
     rows = [
         [c.tau_s, c.n_bits, c.T_s, c.delta, c.feasible_10pct, c.feasible_1pct] for c in cells
     ]
     k10 = sum(c.feasible_10pct for c in cells)
     k1 = sum(c.feasible_1pct for c in cells)
-    summary = f"{len(cells)} cells at T={ctr.period_s:.3e} s: {k10} feasible at 10%, {k1} at 1%"
+    summary = f"{len(cells)} cells at T={T_s:.3e} s: {k10} feasible at 10%, {k1} at 1%"
     _emit(cols, rows, summary, args)
     return EXIT_OK
 
@@ -443,9 +443,6 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except CounterOverflowError as e:
         print(f"error: counter-overflow: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DegenerateSyncTimingError as e:
-        print(f"error: degenerate-sync-timing: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ConfigError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,18 +2,17 @@
 
 For one received packet, a gateway's timestamp error decomposes into
 
-    e_t = sync_offset + N * w1 + U2[0, T) + U1{0..k} * (T_g + w2)
+    e_t = N * w1 + U2[0, T) + U1{0..k} * (T_g + w2)
 
-where ``sync_offset`` is the deterministic skew caused by a misplaced sync
-transmitter, ``N * w1`` is counter-clock drift accumulated over N ticks
+where ``N * w1`` is counter-clock drift accumulated over N ticks
 (w1 ~ Normal(0, sigma1^2)), ``U2[0, T)`` is the unavoidable quantization
 residue of the free-running counter, and the last term models 0..k whole
 processor cycles of latching slippage, each costing T_g plus its own jitter
 (w2 ~ Normal(0, sigma2^2), drawn once per packet since all slips belong to
 the same reception).
 
-The ideal mode — zero drift and slippage, perfectly placed sync node —
-leaves exactly the quantization residue, uniform on [0, T).
+The ideal mode — zero drift and slippage — leaves exactly the quantization
+residue, uniform on [0, T).
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .counter import CounterConfig
-from .geometry import Position, SyncNodeConfig
-
-
-class DegenerateSyncTimingError(ValueError):
-    """Sync propagation delay of zero: gateway and sync node coincide."""
-
 
 # The 8 sign patterns of a (+/-e, +/-e, +/-e) perturbation, in a fixed order.
 SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
@@ -69,7 +61,6 @@ class ToAErrorSample:
     Each field is a float, or an array of the sampled counts' shape.
     """
 
-    sync_offset_s: float
     drift_s: float
     rounding_s: float
     slippage_s: float
@@ -77,37 +68,13 @@ class ToAErrorSample:
     @property
     def total_s(self):
         """The full error e_t; by construction the sum of the components."""
-        return self.sync_offset_s + self.drift_s + self.rounding_s + self.slippage_s
-
-
-def sync_offset(sync: SyncNodeConfig, gw: Position, t_d_s: float) -> float:
-    """Counter-reset skew at one gateway caused by sync-node placement error.
-
-    ``t_d_s`` is the (signed) propagation delay from the sync node to the
-    gateway along the assumed geometry; it enters inversely, so a gateway
-    closer to the sync node is hurt more by the same placement error.
-
-    Parameters
-    ----------
-    sync : SyncNodeConfig
-        Assumed sync position plus its (dx0, dy0) placement error.
-    gw : Position
-        The gateway.
-    t_d_s : float
-        Sync propagation delay, seconds; must be nonzero.
-    """
-    if t_d_s == 0:
-        raise DegenerateSyncTimingError("sync propagation delay must be nonzero")
-    dx0, dy0 = sync.pos_error
-    num = (sync.pos.x - gw.x) * dx0 + (sync.pos.y - gw.y) * dy0
-    return num / (SPEED_OF_LIGHT * SPEED_OF_LIGHT * t_d_s)
+        return self.drift_s + self.rounding_s + self.slippage_s
 
 
 def sample_error(
     params: ErrorModelParams,
     count: int | np.ndarray,
     rng: np.random.Generator,
-    sync_offset_s: float = 0.0,
 ) -> ToAErrorSample:
     """Draw timestamp errors for packets latched at counter reading ``count``.
 
@@ -116,9 +83,7 @@ def sample_error(
     ``count``'s shape. Terms are drawn in a fixed order: drift, quantization,
     slippage jitter, slippage count. The quantization residue is always
     present; drift and slippage only when ``sigma1_s`` and ``max_slippages``
-    are positive. The caller supplies the deterministic sync-offset component
-    (see :func:`sync_offset`), since it depends on geometry this module does
-    not hold.
+    are positive.
     """
     if np.min(count) < 0 or np.max(count) >= (1 << params.counter.n_bits):
         raise ValueError(f"count out of the {params.counter.n_bits}-bit counter range")
@@ -131,9 +96,4 @@ def sample_error(
         w2 = rng.normal(0.0, params.sigma2_s, size) if params.sigma2_s > 0.0 else 0.0
         slips = rng.integers(0, params.max_slippages + 1, size)
         slippage = slips * (params.t_g_s + w2)
-    return ToAErrorSample(
-        sync_offset_s=sync_offset_s,
-        drift_s=drift,
-        rounding_s=rounding,
-        slippage_s=slippage,
-    )
+    return ToAErrorSample(drift_s=drift, rounding_s=rounding, slippage_s=slippage)

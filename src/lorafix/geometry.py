@@ -3,7 +3,7 @@
 All coordinates live in a local flat 2-D frame measured in meters. There is
 deliberately no geodetic machinery here: deployments of a few kilometers are
 well served by a tangent-plane approximation, and every downstream formula
-(hyperbola intersection, circumcenter placement) is planar.
+(hyperbola intersection, barycentric containment) is planar.
 """
 
 from __future__ import annotations
@@ -63,25 +63,6 @@ class GatewayTriple:
         )
 
 
-@dataclass(frozen=True)
-class SyncNodeConfig:
-    """The stationary synchronization transmitter.
-
-    Attributes
-    ----------
-    pos : Position
-        Nominal (assumed) position of the sync node.
-    pos_error : tuple of float
-        True-minus-assumed position offset (dx0, dy0) in meters.
-    """
-
-    pos: Position
-    pos_error: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        _require_finite("position error", *self.pos_error)
-
-
 def _twice_signed_area(p: Position, q: Position, r: Position) -> float:
     return (q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)
 
@@ -113,25 +94,6 @@ def canonical_triangle(circumdiameter: float) -> GatewayTriple:
     )
 
 
-def circumcenter(triple: GatewayTriple) -> Position:
-    """Center of the circle through the three gateways.
-
-    This is the unique point equidistant from all three — the natural spot
-    for a sync transmitter whose signal should arrive everywhere at once
-    under line-of-sight.
-    """
-    g1, g2, g3 = triple.g1, triple.g2, triple.g3
-    d = 2.0 * _twice_signed_area(g1, g2, g3)
-    if abs(d) <= 2.0 * COLLINEAR_AREA2_M2:
-        raise CollinearGatewaysError("circumcenter of collinear points is at infinity")
-    s1 = g1.x * g1.x + g1.y * g1.y
-    s2 = g2.x * g2.x + g2.y * g2.y
-    s3 = g3.x * g3.x + g3.y * g3.y
-    ux = (s1 * (g2.y - g3.y) + s2 * (g3.y - g1.y) + s3 * (g1.y - g2.y)) / d
-    uy = (s1 * (g3.x - g2.x) + s2 * (g1.x - g3.x) + s3 * (g2.x - g1.x)) / d
-    return Position(ux, uy)
-
-
 def barycentric(triple: GatewayTriple, p) -> tuple:
     """Barycentric coordinates of ``p`` with respect to the gateway triangle.
 
@@ -146,14 +108,9 @@ def barycentric(triple: GatewayTriple, p) -> tuple:
     return (w1, w2, 1.0 - w1 - w2)
 
 
-def contains(triple: GatewayTriple, p, *, strict: bool = False):
-    """Whether ``p`` (a Position or an (x, y) array pair) lies inside the triangle.
-
-    With ``strict=True`` points on the boundary do not count.
-    """
+def contains(triple: GatewayTriple, p):
+    """Whether ``p`` (a Position or an (x, y) array pair) lies in the closed triangle."""
     w1, w2, w3 = barycentric(triple, p)
-    if strict:
-        return (w1 > 0.0) & (w2 > 0.0) & (w3 > 0.0)
     return (w1 >= 0.0) & (w2 >= 0.0) & (w3 >= 0.0)
 
 

@@ -156,11 +156,6 @@ def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.nd
     return (t0[:, None] if t0.ndim == 1 else t0) + d / SPEED_OF_LIGHT
 
 
-def localization_error(true_pos: Position, est: LocalizationEstimate) -> float:
-    """Euclidean distance between the true and the estimated position."""
-    return distance(true_pos, est.pos)
-
-
 def _range_residual(x: float, y: float, t0: float, t: np.ndarray, g: np.ndarray) -> float:
     """RMS mismatch between geometric ranges and time-implied ranges, meters."""
     s = 0.0

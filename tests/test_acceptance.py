@@ -26,10 +26,10 @@ from lorafix import (
     ToAObservation,
     alpha_bounds,
     canonical_triangle,
+    distance,
     error_map,
     forward_toa,
     forward_toa_batch,
-    localization_error,
     overflow_time,
     rtc_drift_error,
     sample_error,
@@ -65,7 +65,7 @@ def test_01_round_trip_exactness(capfd):
     for (x, y), t0 in zip(pts, t0s):
         p = Position(float(x), float(y))
         est = solve_analytic(forward_toa(p, TRI, float(t0)), TRI)
-        worst_pos = max(worst_pos, localization_error(p, est))
+        worst_pos = max(worst_pos, distance(p, est.pos))
         worst_t0 = max(worst_t0, abs(est.t0_s - t0))
     elapsed = time.perf_counter() - start
     ok = worst_pos < 1e-6 and worst_t0 < 1e-12 and elapsed < 10.0

@@ -182,6 +182,17 @@ class TestDutyCycleGrid:
         assert float(row["delta"]) == pytest.approx(1.0 / 171.79869184, rel=1e-9)
         assert row["feasible_1pct"] == "true"
 
+    def test_reads_only_the_counter_period(self, tmp_path, capsys):
+        # The grid sweeps its own n_bits, so counter.n_bits is not read, as in
+        # sweep-emax; the period is still checked in every cell.
+        cfg = write_config(tmp_path, {"counter": {"n_bits": 0}})
+        assert main(["dutycycle-grid", "--config", cfg]) == 0
+        got = capsys.readouterr().out
+        assert main(["dutycycle-grid"]) == 0
+        assert got == capsys.readouterr().out
+        assert main(["dutycycle-grid", "--config", cfg, "--T-ns", "0"]) == 1
+        assert "period_s must be positive, got 0.0" in capsys.readouterr().err
+
 
 class TestSweepRange:
     def test_stop_below_start_exit_1(self, tmp_path):

@@ -5,48 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorafix import (
-    SIGN_PATTERNS,
-    SPEED_OF_LIGHT,
-    CounterConfig,
-    DegenerateSyncTimingError,
-    ErrorModelParams,
-    Position,
-    SyncNodeConfig,
-    sample_error,
-    sync_offset,
-)
+from lorafix import SIGN_PATTERNS, CounterConfig, ErrorModelParams, sample_error
 
 IDEAL = ErrorModelParams()
-
-
-class TestSyncOffset:
-    def test_perfect_placement_is_zero(self):
-        sync = SyncNodeConfig(pos=Position(0.0, 0.0))
-        assert sync_offset(sync, Position(5000.0, 0.0), 5000.0 / SPEED_OF_LIGHT) == 0.0
-
-    def test_reference_value(self):
-        # Sync at origin believed correct but actually displaced 0.1 m
-        # toward a gateway 5 km out on the x axis.
-        sync = SyncNodeConfig(pos=Position(0.0, 0.0), pos_error=(0.1, 0.0))
-        t_d = 5000.0 / SPEED_OF_LIGHT
-        off = sync_offset(sync, Position(5000.0, 0.0), t_d)
-        assert off == pytest.approx(-0.1 / SPEED_OF_LIGHT, rel=1e-12)
-
-    def test_linearity_in_placement_error(self):
-        rng = np.random.default_rng(61)
-        gw = Position(3000.0, -2000.0)
-        t_d = math.hypot(gw.x, gw.y) / SPEED_OF_LIGHT
-        for _ in range(50):
-            dx, dy = rng.uniform(-1.0, 1.0, 2)
-            one = sync_offset(SyncNodeConfig(Position(0.0, 0.0), (dx, dy)), gw, t_d)
-            two = sync_offset(SyncNodeConfig(Position(0.0, 0.0), (2 * dx, 2 * dy)), gw, t_d)
-            assert two == pytest.approx(2 * one, rel=1e-12, abs=1e-30)
-
-    def test_zero_delay_raises(self):
-        sync = SyncNodeConfig(pos=Position(0.0, 0.0), pos_error=(0.1, 0.0))
-        with pytest.raises(DegenerateSyncTimingError):
-            sync_offset(sync, Position(0.0, 0.0), 0.0)
 
 
 class TestSampleError:
@@ -55,7 +16,6 @@ class TestSampleError:
         rng = np.random.default_rng(62)
         for _ in range(500):
             s = sample_error(IDEAL, 1000, rng)
-            assert s.sync_offset_s == 0.0
             assert s.drift_s == 0.0
             assert s.slippage_s == 0.0
             assert 0.0 <= s.rounding_s < IDEAL.counter.period_s
@@ -65,16 +25,13 @@ class TestSampleError:
         params = ErrorModelParams(sigma1_s=1e-12, sigma2_s=1e-10, max_slippages=3)
         rng = np.random.default_rng(63)
         for _ in range(200):
-            s = sample_error(params, 12345, rng, sync_offset_s=2e-9)
-            assert s.total_s == s.sync_offset_s + s.drift_s + s.rounding_s + s.slippage_s
-            assert s.sync_offset_s == 2e-9
-        s = sample_error(params, np.full((50, 4, 3), 12345), rng, sync_offset_s=2e-9)
+            s = sample_error(params, 12345, rng)
+            assert s.total_s == s.drift_s + s.rounding_s + s.slippage_s
+        s = sample_error(params, np.full((50, 4, 3), 12345), rng)
         assert s.total_s.shape == (50, 4, 3)
         for term in (s.drift_s, s.rounding_s, s.slippage_s):
             assert term.shape == (50, 4, 3)
-        assert np.array_equal(
-            s.total_s, s.sync_offset_s + s.drift_s + s.rounding_s + s.slippage_s
-        )
+        assert np.array_equal(s.total_s, s.drift_s + s.rounding_s + s.slippage_s)
         assert np.all(s.drift_s != 0.0) and np.any(s.slippage_s != 0.0)
 
     def test_rounding_uniformity(self):

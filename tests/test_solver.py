@@ -14,7 +14,6 @@ from lorafix import (
     canonical_triangle,
     forward_toa,
     forward_toa_batch,
-    localization_error,
     sample_points_in_triangle,
     solve_analytic,
     solve_closed_form,
@@ -198,12 +197,6 @@ def test_estimate_validation():
         LocalizationEstimate(Position(0.0, 0.0), 0.0, -1.0, 0)
 
 
-def test_localization_error():
-    est = LocalizationEstimate(Position(3.0, 4.0), 0.0, 0.0, 0)
-    assert localization_error(Position(0.0, 0.0), est) == 5.0
-    assert localization_error(Position(3.0, 4.0), est) == 0.0
-
-
 class TestRoundTrip:
     def test_analytic_recovers_position_and_emission(self):
         """Noise-free invert-the-forward-model across random interior points."""
@@ -212,7 +205,7 @@ class TestRoundTrip:
         for (x, y), t0 in zip(pts, t0s):
             p = Position(float(x), float(y))
             est = solve_analytic(forward_toa(p, TRI, float(t0)), TRI)
-            assert localization_error(p, est) < 1e-6
+            assert distance(p, est.pos) < 1e-6
             assert abs(est.t0_s - t0) < 1e-14
             assert est.root_index in (0, 1)
 
@@ -222,7 +215,7 @@ class TestRoundTrip:
         for (x, y), t0 in zip(pts, t0s):
             p = Position(float(x), float(y))
             est = solve_closed_form(forward_toa(p, TRI, float(t0)), TRI)
-            assert localization_error(p, est) < 1e-6
+            assert distance(p, est.pos) < 1e-6
             assert abs(est.t0_s - t0) < 1e-14
 
     def test_zero_emission_time_is_exact_zero(self):
@@ -427,6 +420,58 @@ class TestInvariances:
             assert out.ok.all()
             err[scale] = np.median(np.hypot(out.x - pts[:, 0], out.y - pts[:, 1]))
         assert err[1.0] / err[0.5] == pytest.approx(2.0, rel=0.1)
+
+    def test_seeded_rigid_motion_and_scaling(self):
+        """A rotation plus translation of the deployment moves every fix with
+        it, and scaling the deployment and the times by 4 scales every fix by
+        4, to within 1e-8 triangle sizes and with no ok verdict changed: 8000
+        perturbed rows on 200 triangles of 10 m to 30 km, offset by up to 50
+        sizes, on the batch route and on every tenth row of the scalar
+        analytic route. The t0 floor is an absolute time, so a fix whose t0
+        lies in [floor, floor/4) may lose to the other root once scaled; only
+        those rows are exempt from the scaling check."""
+        rng = np.random.default_rng(8_000)
+        splits, gaps = [], []
+
+        def check(where, ok, ok2, got, want, size, t0, f):
+            floored = DEFAULT_T0_FLOOR_S <= t0 < DEFAULT_T0_FLOOR_S / f
+            if ok != ok2:
+                splits.append(where)
+            elif ok and math.dist(got, want) > 1e-8 * size and not floored:
+                gaps.append(where)
+
+        def analytic(row, gws):
+            try:
+                est = solve_analytic(ToAObservation(*row), gws)
+            except NoRealRootError:
+                return False, (math.nan, math.nan), math.nan
+            return True, (est.pos.x, est.pos.y), est.t0_s
+
+        for k in range(200):
+            size = 10.0 ** rng.uniform(1.0, math.log10(3e4))
+            verts = _random_triangle(rng, size, 15.0) + rng.uniform(-50.0, 50.0, 2) * size
+            gws = _triple(verts)
+            targets = rng.dirichlet([1.0, 1.0, 1.0], 40) @ verts
+            toas = forward_toa_batch(targets, gws, rng.uniform(0.0, 1e-4, 40))
+            rel = rng.choice([0.0, 1e-4, 1e-2, 0.2, 1.0, 5.0], (40, 1))
+            toas += rng.uniform(-1.0, 1.0, toas.shape) * (rel * size / SPEED_OF_LIGHT)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            centroid, shift = verts.mean(axis=0), rng.uniform(-50.0, 50.0, 2) * size
+            base = solve_closed_form_batch(toas, gws)
+            for move, f in ((lambda p: (p - centroid) @ rot.T + shift, 1.0), (lambda p: 4.0 * p, 4.0)):
+                gws2 = _triple(move(verts))
+                out = solve_closed_form_batch(f * toas, gws2)
+                want = move(np.column_stack([base.x, base.y]))
+                for i in range(40):
+                    got = (out.x[i], out.y[i])
+                    check((k, i, f), base.ok[i], out.ok[i], got, want[i], size, base.t0_s[i], f)
+                for i in range(0, 40, 10):
+                    ok, pos, t0 = analytic(toas[i], gws)
+                    ok2, got, _ = analytic(f * toas[i], gws2)
+                    check((k, i, f, "analytic"), ok, ok2, got, move(np.array(pos)), size, t0, f)
+        assert splits == []
+        assert gaps == []
 
 
 def _residual(est, obs):
