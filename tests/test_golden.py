@@ -2,7 +2,9 @@
 
 The tables of these commands stay byte-identical unless a change says why.
 A digest here changes only together with a CHANGES.md line giving the
-reason. The Monte Carlo commands are pinned at workers 1 and 2.
+reason. The Monte Carlo commands are pinned at workers 1 and 2. The JSON
+tables and the ``--out`` summaries run the Monte Carlo commands small, at
+one worker.
 """
 
 import hashlib
@@ -14,6 +16,10 @@ from lorafix.cli import main
 SOLVE = ["solve", "1.1864679979e-4", "1.1295747147e-4", "1.1898980542e-4"]  # README line
 ERROR_MAP = ["error-map", "--seed", "3"]
 SWEEP = ["sweep-emax", "--seed", "7", "--points", "20000"]
+SMALL_MAP = [*ERROR_MAP, "--points", "200", "--workers", "1"]
+SMALL_SWEEP = ["sweep-emax", "--seed", "7", "--points", "2000", "--workers", "1"]
+# At 1 cm every solve fails, so the summary takes its "no fix" branch.
+NO_FIX_MAP = ["error-map", "--diameter-m", "0.01", "--points", "3", "--transmissions", "1", "--seed", "2"]
 
 GOLDEN = [
     (["alpha-bounds"], "f496449f1501207f55a4dabe938208ca"),
@@ -27,9 +33,47 @@ GOLDEN = [
     ([*SWEEP, "--workers", "2"], "bbc9a86cab0d37341e831ba00af658f5"),
 ]
 
+GOLDEN_JSON = [
+    (["alpha-bounds"], "46b5c81f6e064698f0f3020d26ac9219"),
+    (["dutycycle-grid"], "42ba74b746b6529dfd9a981683b345bc"),
+    (["airtime"], "94c757e28e9ec8df6a7a5cfa6d19c2f0"),
+    (SOLVE, "528dcb73d28e9044ee9ffba31b4848bc"),
+    (SMALL_MAP, "dde139837f99a8197a22ecb5cc06e40e"),
+    (SMALL_SWEEP, "4456bea10550d3b3888a04080277c70d"),
+]
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_stdout_digest(capsys, argv, digest):
+# With --out the table goes to the file and stdout holds the summary line.
+GOLDEN_SUMMARY = [
+    (["alpha-bounds"], "10cdbd76d21f559b6335f8583898fa75"),
+    (["dutycycle-grid"], "53ee7caef4d4725cbe3a82559dbc560b"),
+    (["airtime"], "be9102f0c1f5b4bf2f18cfa31a4d73fd"),
+    (SOLVE, "1a72601884c307920fe781db91a270c0"),
+    (SMALL_MAP, "094b9929d320718e1cf7e3f8768ca9f6"),
+    (SMALL_SWEEP, "778b247db417263e2804e9ec23d1cc27"),
+    (NO_FIX_MAP, "5b9137cffbb26e27c61e3f8a27d09d80"),
+]
+
+
+def _ids(cases):
+    return [" ".join(a) for a, _ in cases]
+
+
+def _check(capsys, argv, digest):
     assert main(argv) == 0
     got = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     assert got == digest, f"lorafix {' '.join(argv)}: stdout md5 {got}, expected {digest}"
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=_ids(GOLDEN))
+def test_stdout_digest(capsys, argv, digest):
+    _check(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_JSON, ids=_ids(GOLDEN_JSON))
+def test_json_digest(capsys, argv, digest):
+    _check(capsys, [*argv, "--format", "json"], digest)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SUMMARY, ids=_ids(GOLDEN_SUMMARY))
+def test_out_summary_digest(tmp_path, capsys, argv, digest):
+    _check(capsys, [*argv, "--out", str(tmp_path / "table")], digest)
