@@ -1,5 +1,10 @@
 """Command-line front end: config ingestion, dispatch, CSV/JSON emission.
 
+Each command is a function ``cmd_*(cfg) -> (cols, rows, summary)`` of the
+merged config alone. ``main`` does the rest in one place: it parses the
+flags, loads the config, calls the command, emits its table and maps
+errors to exit codes.
+
 Exit codes: 0 success, 1 configuration/parse error, 2 domain error
 (singular geometry, no real root, counter overflow), 3 I/O error.
 JSON tables are strict JSON: a non-finite value is written as null.
@@ -10,9 +15,10 @@ summary to stderr. Progress notes always go to stderr.
 
 Config: DEFAULTS, deep-merged with the --config file, then every flag given;
 each override flag's dest is the dotted key it replaces (--points ->
-sweep.points). Commands read values only through ``_get``, which requires
-every section to be an object and types the leaf, and ``_nums`` (non-empty
-number lists); a bad value exits 1 naming its key.
+sweep.points), and --diameter-m also clears geometry.gateways. Commands read
+values only through ``_get``, which requires every section to be an object
+and types the leaf, and ``_nums`` (non-empty number lists); a bad value
+exits 1 naming its key.
 """
 
 from __future__ import annotations
@@ -123,6 +129,9 @@ def _load_config(args) -> dict:
     for key, value in vars(args).items():
         if key not in NOT_CONFIG and value not in (None, []):
             cfg = _put(cfg, key.split("."), value)
+    # --diameter-m beats the config's gateways as well as its diameter.
+    if vars(args).get("geometry.diameter_m") is not None:
+        cfg = _put(cfg, ["geometry", "gateways"], None)
     return cfg
 
 
@@ -174,10 +183,9 @@ def _resolve_seed(cfg) -> int:
     raise ConfigError("stochastic commands need a seed (--seed, config, or LORAFIX_SEED)")
 
 
-def _geometry(args, cfg) -> GatewayTriple:
+def _geometry(cfg) -> GatewayTriple:
     gws = _get(cfg, "geometry.gateways")
-    # --diameter-m beats the config's gateways as well as its diameter.
-    if gws is None or vars(args).get("geometry.diameter_m") is not None:
+    if gws is None:
         return canonical_triangle(_get(cfg, "geometry.diameter_m", float))
     if not isinstance(gws, list) or len(gws) != 3:
         raise ConfigError(f"geometry.gateways must be 3 [x, y] pairs, got {json.dumps(gws)}")
@@ -205,39 +213,32 @@ def _radio(cfg) -> RadioParams:
     )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v) if math.isfinite(v) else None  # strict JSON has no NaN
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
+def _json_cell(v):
+    # Strict JSON has no NaN or infinity.
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _render(cols, rows, fmt: str) -> str:
+    # numpy scalars become their Python twins, so each cell is a bool, int, float or str.
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in r] for r in rows]
     if fmt == "json":
-        doc = {"columns": list(cols), "rows": [[_jsonable(v) for v in r] for r in rows]}
+        doc = {"columns": list(cols), "rows": [[_json_cell(v) for v in r] for r in rows]}
         return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     lines = [",".join(cols)]
-    lines.extend(",".join(_fmt(v) for v in r) for r in rows)
+    lines.extend(",".join(_csv_cell(v) for v in r) for r in rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit(cols, rows, summary: str, args) -> None:
-    text = _render(cols, rows, args.format)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+def _emit(cols, rows, summary: str, fmt: str, out) -> None:
+    text = _render(cols, rows, fmt)
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
         print(summary)
     else:
@@ -245,24 +246,19 @@ def _emit(cols, rows, summary: str, args) -> None:
         print(summary, file=sys.stderr)
 
 
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
-def cmd_solve(args, cfg) -> int:
+def cmd_solve(cfg) -> tuple:
     toa = _nums(_get(cfg, "toa"), "toa", n=3)
-    est = solve_analytic(ToAObservation(*toa), _geometry(args, cfg))
+    est = solve_analytic(ToAObservation(*toa), _geometry(cfg))
     cols = ["x_m", "y_m", "t0_s", "residual_m", "root_index"]
     rows = [[est.pos.x, est.pos.y, est.t0_s, est.residual_m, est.root_index]]
     summary = (
         f"position ({est.pos.x:.3f}, {est.pos.y:.3f}) m, t0 {est.t0_s:.6e} s, "
         f"residual {est.residual_m:.3e} m, root {est.root_index}"
     )
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
-def cmd_airtime(args, cfg) -> int:
+def cmd_airtime(cfg) -> tuple:
     radio = _radio(cfg)
     ctr = _counter(cfg)
     tau = time_on_air(radio)
@@ -277,34 +273,32 @@ def cmd_airtime(args, cfg) -> int:
         f"de{radio.low_dr_opt}: tau {tau:.6f} s, duty cycle {delta * 100:.4f}% "
         f"at n={ctr.n_bits}, T={ctr.period_s:.3e} s"
     )
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
-def cmd_sweep_emax(args, cfg) -> int:
+def cmd_sweep_emax(cfg) -> tuple:
     seed = _resolve_seed(cfg)
-    gws = _geometry(args, cfg)
+    gws = _geometry(cfg)
     T_ns = [_get(cfg, f"sweep.{k}", float) for k in ("start_ns", "stop_ns", "step_ns")]
     points = _get(cfg, "sweep.points", int)
     scfg = SweepConfig(T_range=tuple(t * 1e-9 for t in T_ns), n_points=points, seed=seed, gws=gws)
     workers = _get(cfg, "workers", int)
-    _progress(f"sweep-emax: {points} targets, T {T_ns[0]:g}..{T_ns[1]:g} ns, workers={workers}")
+    print(
+        f"sweep-emax: {points} targets, T {T_ns[0]:g}..{T_ns[1]:g} ns, workers={workers}",
+        file=sys.stderr,
+    )
     res = sweep_emax(scfg, workers=workers)
     cols = ["T_s", "e_max_m", "sigma_m", "failed_solves"]
-    rows = [
-        [res.T_s[i], res.e_max_m[i], res.sigma_m[i], int(res.failed_solves[i])]
-        for i in range(len(res.T_s))
-    ]
+    rows = zip(*(a.tolist() for a in (res.T_s, res.e_max_m, res.sigma_m, res.failed_solves)))
     idx = int(np.argmin(np.abs(res.T_s - _get(cfg, "counter.T_ns", float) * 1e-9)))
     summary = (
         f"e_max(T={res.T_s[idx] * 1e9:g} ns) = {res.e_max_m[idx]:.2f} m "
         f"(sigma {res.sigma_m[idx]:.2f} m) over {points} targets"
     )
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
-def cmd_dutycycle_grid(args, cfg) -> int:
+def cmd_dutycycle_grid(cfg) -> tuple:
     # Only the period: the grid's own n_bits replace counter.n_bits.
     T_s = _get(cfg, "counter.T_ns", float) * 1e-9
     tau_values = _nums(_get(cfg, "grid.tau_s"), "grid.tau_s")
@@ -317,13 +311,12 @@ def cmd_dutycycle_grid(args, cfg) -> int:
     k10 = sum(c.feasible_10pct for c in cells)
     k1 = sum(c.feasible_1pct for c in cells)
     summary = f"{len(cells)} cells at T={T_s:.3e} s: {k10} feasible at 10%, {k1} at 1%"
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
-def cmd_error_map(args, cfg) -> int:
+def cmd_error_map(cfg) -> tuple:
     seed = _resolve_seed(cfg)
-    gws = _geometry(args, cfg)
+    gws = _geometry(cfg)
     ctr = _counter(cfg)
     points = _get(cfg, "map.points", int)
     transmissions = _get(cfg, "map.transmissions", int)
@@ -331,24 +324,21 @@ def cmd_error_map(args, cfg) -> int:
         counter=ctr, n_points=points, n_transmissions=transmissions, seed=seed, gws=gws
     )
     workers = _get(cfg, "workers", int)
-    _progress(
+    print(
         f"error-map: {points} targets x {transmissions} transmissions, "
-        f"T={ctr.period_s:.3e} s, workers={workers}"
+        f"T={ctr.period_s:.3e} s, workers={workers}",
+        file=sys.stderr,
     )
     res = error_map(mcfg, workers=workers)
     cols = ["x_m", "y_m", "max_error_m", "failed_solves"]
-    rows = [
-        [res.points[i, 0], res.points[i, 1], res.max_error_m[i], int(res.failed_solves[i])]
-        for i in range(points)
-    ]
+    rows = zip(*res.points.T.tolist(), res.max_error_m.tolist(), res.failed_solves.tolist())
     finite = res.max_error_m[np.isfinite(res.max_error_m)]
     errors = f"max error {finite.max():.2f} m, mean {finite.mean():.2f} m" if finite.size else "no fix"
     summary = f"{errors} over {points} targets ({int(res.failed_solves.sum())} failed solves)"
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
-def cmd_alpha_bounds(args, cfg) -> int:
+def cmd_alpha_bounds(cfg) -> tuple:
     caps = _get(cfg, "alpha.pl_caps")
     if caps is not None:
         if not isinstance(caps, dict) or not all(bw.isdigit() for bw in caps):
@@ -372,8 +362,7 @@ def cmd_alpha_bounds(args, cfg) -> int:
         f"sync period bounds [{bounds.tau_min_s:.6f}, {bounds.tau_max_s:.6f}] s "
         f"(min: {_params_str(bounds.argmin)}; max: {_params_str(bounds.argmax)})"
     )
-    _emit(cols, rows, summary, args)
-    return EXIT_OK
+    return cols, rows, summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,27 +418,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and message tag of each error main reports; the first match wins,
+# because the domain errors (exit 2) subclass ValueError.
+_ERRORS = (
+    ((CollinearGatewaysError, SingularGeometryError), EXIT_DOMAIN, "singular-geometry: "),
+    (NoRealRootError, EXIT_DOMAIN, "no-real-root: "),
+    (CounterOverflowError, EXIT_DOMAIN, "counter-overflow: "),
+    (ValueError, EXIT_CONFIG, ""),
+    (OSError, EXIT_IO, "io: "),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return args.func(args, cfg)
-    except (CollinearGatewaysError, SingularGeometryError) as e:
-        print(f"error: singular-geometry: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NoRealRootError as e:
-        print(f"error: no-real-root: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except CounterOverflowError as e:
-        print(f"error: counter-overflow: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ConfigError, ValueError, KeyError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"error: io: {e}", file=sys.stderr)
-        return EXIT_IO
+        cols, rows, summary = args.func(_load_config(args))
+        _emit(cols, rows, summary, args.format, args.out)
+    except (ValueError, OSError) as e:
+        code, tag = next((code, tag) for kind, code, tag in _ERRORS if isinstance(e, kind))
+        print(f"error: {tag}{e}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

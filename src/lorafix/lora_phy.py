@@ -74,8 +74,9 @@ class RadioParams:
 
 
 def low_dr_opt_auto(sf: int, bw_hz: int) -> int:
-    """Default DE flag: 1 iff the symbol duration exceeds 16 ms."""
-    return 1 if (2**sf) / bw_hz > LOW_DR_OPT_SYMBOL_THRESHOLD_S else 0
+    """Default DE flag: 1 iff the symbol duration, of validated sf and bw_hz, exceeds 16 ms."""
+    validated = RadioParams(sf=sf, bw_hz=bw_hz, cr=1, payload_len=0)
+    return 1 if symbol_duration(validated) > LOW_DR_OPT_SYMBOL_THRESHOLD_S else 0
 
 
 def symbol_duration(params: RadioParams) -> float:

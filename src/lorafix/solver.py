@@ -77,7 +77,9 @@ _RES_TIE_QUAD_PER_M = 1e-15
 
 
 def _res_tie_tol(t_max_s):
-    return _RES_TIE_M + _RES_TIE_QUAD_PER_M * (SPEED_OF_LIGHT * t_max_s) ** 2
+    d = SPEED_OF_LIGHT * t_max_s
+    # Here and in the singularity tests, a float ** raises OverflowError where * gives inf.
+    return _RES_TIE_M + _RES_TIE_QUAD_PER_M * (d * d)
 
 # |det| below this relative threshold marks an unsolvable geometry.
 _DET_RTOL = 1e-9
@@ -269,7 +271,7 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     A[:, 2] = c * (t - shift)
     scale = float(np.max(np.abs(A)))
     det = float(np.linalg.det(A))
-    if scale == 0.0 or abs(det) < _DET_RTOL * scale**3:
+    if scale == 0.0 or abs(det) < _DET_RTOL * scale * scale * scale:
         raise SingularGeometryError(f"arrival matrix is singular (det {det!r})")
     rhs = np.ones((3, 2))
     rhs[:, 1] = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
@@ -358,7 +360,7 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
     A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
     D = A21 * B31 - A31 * B21
     gscale = max(abs(A21), abs(B21), abs(A31), abs(B31), 1e-300)
-    if abs(D) < _DET_RTOL * gscale**2:
+    if abs(D) < _DET_RTOL * gscale * gscale:
         raise SingularGeometryError("gateway difference matrix is singular")
 
     d21 = c * (t[:, 1] - t[:, 0])

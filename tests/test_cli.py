@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from lorafix import Position, canonical_triangle, forward_toa
+from lorafix import cli
 from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
 from _oracles import (
@@ -306,6 +307,48 @@ class TestConfigTypes:
         r = run_cli("sweep-emax", "--seed", "1", "--config", cfg)
         assert r.returncode == 0, r.stderr
         assert "over 20 targets" in r.stderr
+
+
+class TestOutOfRangeNumbers:
+    # Each of these once died with an OverflowError or ZeroDivisionError
+    # traceback: 2**sf / bw_hz was formed before the radio fields were
+    # checked, and float ** overflowed in the solvers' singularity tests.
+    @pytest.mark.parametrize(
+        "argv, doc, code, last_line",
+        [
+            (["airtime", "--sf", "2000"], None, 1, "error: sf must be in 7..12, got 2000"),
+            (["alpha-bounds", "--sf", "2000"], None, 1, "error: sf must be in 7..12, got 2000"),
+            (["airtime", "--bw-hz", "0"], None, 1, "error: bw_hz must be one of"),
+            (["alpha-bounds"], {"alpha": {"pl_caps": {"0": 5}}}, 1, "error: bw_hz must be one of"),
+            (["solve", *["1e-4"] * 3, "--diameter-m", "1e200"], None, 2, "error: no-real-root: "),
+            (["solve", *["1e146"] * 3, "--diameter-m", "1e150"], None, 0, "position (0.000, 0.000)"),
+            # Every solve fails, so every row is NaN with all 10 x 8 solves failed.
+            (
+                ["sweep-emax", "--seed", "1", "--points", "10", "--diameter-m", "1e300"],
+                None,
+                0,
+                "e_max(T=40 ns) = nan m",
+            ),
+        ],
+    )
+    def test_exit_code_and_message(self, tmp_path, argv, doc, code, last_line):
+        if doc is not None:
+            argv = [*argv, "--config", write_config(tmp_path, doc)]
+        r = run_cli(*argv)
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip().splitlines()[-1].startswith(last_line)
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_programming_error_is_not_a_config_error(monkeypatch, error):
+    # Exit 1 means a bad config or flag value; an error from the code itself propagates.
+    def broken(*args, **kwargs):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "sweep_emax", broken)
+    with pytest.raises(error, match="bug"):
+        main(["sweep-emax", "--seed", "1", "--points", "10"])
 
 
 FAST = {

@@ -19,7 +19,9 @@ SWEEP = ["sweep-emax", "--seed", "7", "--points", "20000"]
 SMALL_MAP = [*ERROR_MAP, "--points", "200", "--workers", "1"]
 SMALL_SWEEP = ["sweep-emax", "--seed", "7", "--points", "2000", "--workers", "1"]
 # At 1 cm every solve fails, so the summary takes its "no fix" branch.
-NO_FIX_MAP = ["error-map", "--diameter-m", "0.01", "--points", "3", "--transmissions", "1", "--seed", "2"]
+NO_FIX_MAP = [
+    "error-map", "--diameter-m", "0.01", "--points", "3", "--transmissions", "1", "--seed", "2",
+]  # fmt: skip
 
 GOLDEN = [
     (["alpha-bounds"], "f496449f1501207f55a4dabe938208ca"),
