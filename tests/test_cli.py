@@ -9,8 +9,7 @@ import sys
 
 import pytest
 
-from lorafix import Position, canonical_triangle, forward_toa
-from lorafix import cli
+from lorafix import Position, canonical_triangle, cli, forward_toa
 from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
 from _oracles import (
@@ -322,7 +321,7 @@ class TestOutOfRangeNumbers:
             (["alpha-bounds"], {"alpha": {"pl_caps": {"0": 5}}}, 1, "error: bw_hz must be one of"),
             (["solve", *["1e-4"] * 3, "--diameter-m", "1e200"], None, 2, "error: no-real-root: "),
             (["solve", *["1e146"] * 3, "--diameter-m", "1e150"], None, 0, "position (0.000, 0.000)"),
-            # Every solve fails, so every row is NaN with all 10 x 8 solves failed.
+            # Every solve fails, so the summary's e_max is NaN.
             (
                 ["sweep-emax", "--seed", "1", "--points", "10", "--diameter-m", "1e300"],
                 None,
