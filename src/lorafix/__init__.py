@@ -61,7 +61,6 @@ from .solver import (
     BatchSolveResult,
     LocalizationEstimate,
     NoRealRootError,
-    SingularGeometryError,
     ToAObservation,
     forward_toa,
     forward_toa_batch,
@@ -112,7 +111,6 @@ __all__ = [
     "BatchSolveResult",
     "LocalizationEstimate",
     "NoRealRootError",
-    "SingularGeometryError",
     "ToAObservation",
     "forward_toa",
     "forward_toa_batch",

@@ -6,7 +6,7 @@ flags, loads the config, calls the command, emits its table and maps
 errors to exit codes.
 
 Exit codes: 0 success, 1 configuration/parse error, 2 domain error
-(singular geometry, no real root, counter overflow), 3 I/O error.
+(collinear gateways, no real root, counter overflow), 3 I/O error.
 JSON tables are strict JSON: a non-finite value is written as null.
 
 Output routing: with --out, the data table goes to the file and a short
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -50,7 +49,7 @@ from .lora_phy import (
     symbol_duration,
     time_on_air,
 )
-from .solver import NoRealRootError, SingularGeometryError, ToAObservation, solve_analytic
+from .solver import NoRealRootError, ToAObservation, solve_analytic
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -172,15 +171,9 @@ def _nums(values, key: str, kind=float, n=None) -> list:
 
 
 def _resolve_seed(cfg) -> int:
-    if _get(cfg, "seed") is not None:
-        return _get(cfg, "seed", int)
-    env = os.environ.get("LORAFIX_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"LORAFIX_SEED must be an integer, got {env!r}") from e
-    raise ConfigError("stochastic commands need a seed (--seed, config, or LORAFIX_SEED)")
+    if _get(cfg, "seed") is None:
+        raise ConfigError("stochastic commands need a seed (--seed or the config seed key)")
+    return _get(cfg, "seed", int)
 
 
 def _geometry(cfg) -> GatewayTriple:
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Exit code and message tag of each error main reports; the first match wins,
 # because the domain errors (exit 2) subclass ValueError.
 _ERRORS = (
-    ((CollinearGatewaysError, SingularGeometryError), EXIT_DOMAIN, "singular-geometry: "),
+    (CollinearGatewaysError, EXIT_DOMAIN, "singular-geometry: "),
     (NoRealRootError, EXIT_DOMAIN, "no-real-root: "),
     (CounterOverflowError, EXIT_DOMAIN, "counter-overflow: "),
     (ValueError, EXIT_CONFIG, ""),

@@ -208,7 +208,8 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
     varies only the perturbation magnitude. For each target and each T, the
     arrival triple is shifted by +/-T in all 8 sign combinations; the target
     contributes the largest of its 8 localization errors. ``e_max`` is the
-    mean of those per-target worst cases, ``sigma`` their sample spread.
+    mean of those per-target worst cases, ``sigma`` their sample spread. Both
+    skip targets whose 8 solves all failed, and are NaN where too few remain.
     """
     T_values = _t_grid(cfg.T_range)
     rng = np.random.default_rng(cfg.seed)
@@ -222,7 +223,7 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
     for i in range(len(T_values)):
         w = worst[i][valid[i]]
         e_max[i] = w.mean() if w.size else math.nan
-        sigma[i] = w.std(ddof=1) if w.size > 1 else 0.0
+        sigma[i] = w.std(ddof=1) if w.size > 1 else math.nan
     return EmaxResult(
         T_s=T_values,
         e_max_m=e_max,

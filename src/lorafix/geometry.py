@@ -4,6 +4,9 @@ All coordinates live in a local flat 2-D frame measured in meters. There is
 deliberately no geodetic machinery here: deployments of a few kilometers are
 well served by a tangent-plane approximation, and every downstream formula
 (hyperbola intersection, barycentric containment) is planar.
+
+Whether gateways are degenerate is decided here alone, by one scale-free rule
+checked when a ``GatewayTriple`` is built; the solvers trust every triple.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Twice-signed-area floor below which three gateways are treated as collinear.
-# Far below any meaningful deployment, far above double-precision noise at
-# kilometer scale.
-COLLINEAR_AREA2_M2 = 1e-6
+# Twice the signed area over the squared span (the longest side) at or below
+# which three gateways count as collinear. An equilateral triangle scores
+# sin(60 deg) = 0.87 at any size; at 1e-9 the solvers' 2x2 difference system
+# still keeps about 7 significant digits.
+DEGENERATE_AREA_RATIO = 1e-9
 
 
 class CollinearGatewaysError(ValueError):
@@ -42,17 +46,29 @@ class Position:
 
 @dataclass(frozen=True)
 class GatewayTriple:
-    """The three gateway positions, required to be non-collinear."""
+    """The three gateway positions, required to span a triangle.
+
+    Raises CollinearGatewaysError unless twice the signed area exceeds
+    ``DEGENERATE_AREA_RATIO`` times the squared longest side.
+    """
 
     g1: Position
     g2: Position
     g3: Position
 
     def __post_init__(self):
-        area2 = _twice_signed_area(self.g1, self.g2, self.g3)
-        if abs(area2) <= COLLINEAR_AREA2_M2:
+        # Scaling by a power of two into [-1, 1] is exact, and no difference
+        # or product can then overflow. Dividing by the span twice cannot
+        # underflow to a zero divisor as its square could.
+        gs = (self.g1, self.g2, self.g3)
+        k = math.frexp(max(abs(v) for g in gs for v in (g.x, g.y)))[1]
+        p, q, r = (Position(math.ldexp(g.x, -k), math.ldexp(g.y, -k)) for g in gs)
+        span = max(distance(p, q), distance(q, r), distance(r, p))
+        ratio = _twice_signed_area(p, q, r) / span / span if span > 0.0 else 0.0
+        if not abs(ratio) > DEGENERATE_AREA_RATIO:
             raise CollinearGatewaysError(
-                f"gateways are collinear (twice signed area {area2:.3e} m^2)"
+                f"gateways are collinear (twice signed area {abs(ratio):.3e} "
+                "of the squared span)"
             )
 
     def as_array(self) -> np.ndarray:

@@ -78,15 +78,8 @@ _RES_TIE_QUAD_PER_M = 1e-15
 
 def _res_tie_tol(t_max_s):
     d = SPEED_OF_LIGHT * t_max_s
-    # Here and in the singularity tests, a float ** raises OverflowError where * gives inf.
+    # A float ** raises OverflowError where * gives inf.
     return _RES_TIE_M + _RES_TIE_QUAD_PER_M * (d * d)
-
-# |det| below this relative threshold marks an unsolvable geometry.
-_DET_RTOL = 1e-9
-
-
-class SingularGeometryError(ValueError):
-    """The gateway/timestamp configuration admits no unique solution."""
 
 
 class NoRealRootError(ValueError):
@@ -242,19 +235,21 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     (a_j, b_j, c*(t_j - s)), solves A u = 1 and A v = m (m_j = a_j^2 + b_j^2
     - c^2 (t_j - s)^2) by Gaussian elimination, and closes with the scalar
     quadratic in l = (x-cx)^2 + (y-cy)^2 - c^2 (t0 - s)^2 using the
-    indefinite inner product (see module docstring). Candidates are
+    indefinite inner product (see module docstring). The time column is
+    formed as c*(t_j - min_j t_j) + R, so R survives however late the
+    arrivals are. Candidates are
 
         x = cx + (l*u1 + v1) / 2,  y = cy + (l*u2 + v2) / 2,
         t0 = s - (l*u3 + v3) / (2c).
 
-    The time column is then positive while the first two sum to zero, so it
-    never depends on them.
+    The time column is then at least R in every row while the first two sum
+    to zero, so it never depends on them. Indeed A is singular only when the
+    triangle has no area: the cofactors of the time column all equal a third
+    of twice the triangle's signed area, so det A is that times the sum of
+    the time column. ``GatewayTriple`` rejects such triangles.
 
     Raises
     ------
-    SingularGeometryError
-        If |det A| falls below a scale-relative threshold: collinear or
-        numerically thin gateways.
     NoRealRootError
         If the closing quadratic has no real root beyond tolerance.
     """
@@ -267,30 +262,29 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     A[:, 0] = g[:, 0] - cx
     A[:, 1] = g[:, 1] - cy
     radius = max(math.hypot(p.x - cx, p.y - cy) for p in (gws.g1, gws.g2, gws.g3))
-    shift = min(obs.t1, obs.t2, obs.t3) - radius / c
-    A[:, 2] = c * (t - shift)
-    scale = float(np.max(np.abs(A)))
-    det = float(np.linalg.det(A))
-    if scale == 0.0 or abs(det) < _DET_RTOL * scale * scale * scale:
-        raise SingularGeometryError(f"arrival matrix is singular (det {det!r})")
-    rhs = np.ones((3, 2))
-    rhs[:, 1] = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
-    uv_cols = np.linalg.solve(A, rhs)
-    u = uv_cols[:, 0]
-    v = uv_cols[:, 1]
-    # Indefinite inner products: the third coordinate carries the imaginary
-    # unit, so its square enters with a minus sign.
-    uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
-    uvp = u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
-    vv = v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
-    roots = _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
-    cands = []
-    for idx, l in enumerate(roots):
-        x = 0.5 * (l * u[0] + v[0]) + cx
-        y = 0.5 * (l * u[1] + v[1]) + cy
-        t0 = -(l * u[2] + v[2]) / (2.0 * c) + shift
-        cands.append((x, y, t0, idx))
-    return _select_candidate(cands, t, g, gws)
+    t_min = min(obs.t1, obs.t2, obs.t3)
+    A[:, 2] = c * (t - t_min) + radius
+    # On huge geometries this overflows to non-finite candidates, which the
+    # selector drops; numpy need not warn about it.
+    with np.errstate(all="ignore"):
+        rhs = np.ones((3, 2))
+        rhs[:, 1] = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
+        uv_cols = np.linalg.solve(A, rhs)
+        u = uv_cols[:, 0]
+        v = uv_cols[:, 1]
+        # Indefinite inner products: the third coordinate carries the imaginary
+        # unit, so its square enters with a minus sign.
+        uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
+        uvp = u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
+        vv = v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
+        roots = _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
+        cands = []
+        for idx, l in enumerate(roots):
+            x = 0.5 * (l * u[0] + v[0]) + cx
+            y = 0.5 * (l * u[1] + v[1]) + cy
+            t0 = t_min - (l * u[2] + v[2] + 2.0 * radius) / (2.0 * c)
+            cands.append((x, y, t0, idx))
+        return _select_candidate(cands, t, g, gws)
 
 
 @dataclass(frozen=True)
@@ -358,54 +352,52 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
 
     A21, B21 = 2.0 * (a2 - a1), 2.0 * (b2 - b1)
     A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
-    D = A21 * B31 - A31 * B21
-    gscale = max(abs(A21), abs(B21), abs(A31), abs(B31), 1e-300)
-    if abs(D) < _DET_RTOL * gscale * gscale:
-        raise SingularGeometryError("gateway difference matrix is singular")
+    D = A21 * B31 - A31 * B21  # 8x the signed area, which GatewayTriple keeps from 0
 
-    d21 = c * (t[:, 1] - t[:, 0])
-    d31 = c * (t[:, 2] - t[:, 0])
-    k2 = (a2 * a2 + b2 * b2) - (a1 * a1 + b1 * b1)
-    k3 = (a3 * a3 + b3 * b3) - (a1 * a1 + b1 * b1)
-    p2 = k2 - d21 * d21
-    p3 = k3 - d31 * d31
+    # Rows with no real root, or huge geometries, overflow or divide by zero
+    # into non-finite values, which the verdicts below handle.
+    with np.errstate(all="ignore"):
+        d21 = c * (t[:, 1] - t[:, 0])
+        d31 = c * (t[:, 2] - t[:, 0])
+        k2 = (a2 * a2 + b2 * b2) - (a1 * a1 + b1 * b1)
+        k3 = (a3 * a3 + b3 * b3) - (a1 * a1 + b1 * b1)
+        p2 = k2 - d21 * d21
+        p3 = k3 - d31 * d31
 
-    # (x, y) = (xc, yc) + (xl, yl) * d1 by Cramer's rule.
-    xc = (p2 * B31 - p3 * B21) / D
-    xl = (-2.0 * d21 * B31 + 2.0 * d31 * B21) / D
-    yc = (A21 * p3 - A31 * p2) / D
-    yl = (-2.0 * d31 * A21 + 2.0 * d21 * A31) / D
+        # (x, y) = (xc, yc) + (xl, yl) * d1 by Cramer's rule.
+        xc = (p2 * B31 - p3 * B21) / D
+        xl = (-2.0 * d21 * B31 + 2.0 * d31 * B21) / D
+        yc = (A21 * p3 - A31 * p2) / D
+        yl = (-2.0 * d31 * A21 + 2.0 * d21 * A31) / D
 
-    fx = xc - a1
-    fy = yc - b1
-    qa = xl * xl + yl * yl - 1.0
-    qb = 2.0 * (fx * xl + fy * yl)
-    qc = fx * fx + fy * fy
+        fx = xc - a1
+        fy = yc - b1
+        qa = xl * xl + yl * yl - 1.0
+        qb = 2.0 * (fx * xl + fy * yl)
+        qc = fx * fx + fy * fy
 
-    qb2 = qb * qb
-    qac4 = 4.0 * qa * qc
-    disc = qb2 - qac4
-    graze_tol = _NEG_DISC_RTOL * np.maximum(qb2, np.abs(qac4))
-    no_root = disc < -graze_tol
-    disc = np.where(disc < 0.0, 0.0, disc)
-    sq = np.sqrt(disc)
-    q = -0.5 * (qb + np.copysign(sq, qb))
-    d1 = np.empty((2, t.shape[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        qb2 = qb * qb
+        qac4 = 4.0 * qa * qc
+        disc = qb2 - qac4
+        graze_tol = _NEG_DISC_RTOL * np.maximum(qb2, np.abs(qac4))
+        no_root = disc < -graze_tol
+        disc = np.where(disc < 0.0, 0.0, disc)
+        sq = np.sqrt(disc)
+        q = -0.5 * (qb + np.copysign(sq, qb))
+        d1 = np.empty((2, t.shape[0]))
         np.divide(q, qa, out=d1[0])
         np.divide(qc, q, out=d1[1])
 
-    x = xc + xl * d1
-    y = yc + yl * d1
-    t0 = t[:, 0] - d1 / c
-    t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
+        x = xc + xl * d1
+        y = yc + yl * d1
+        t0 = t[:, 0] - d1 / c
+        t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
 
-    # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
-    # is, so it alone marks the bad candidates.
-    ssq = np.zeros_like(d1)
-    r = np.empty_like(d1)
-    dy = np.empty_like(d1)
-    with np.errstate(invalid="ignore", over="ignore"):
+        # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
+        # is, so it alone marks the bad candidates.
+        ssq = np.zeros_like(d1)
+        r = np.empty_like(d1)
+        dy = np.empty_like(d1)
         for aj, bj, tj in zip(ga, gb, t.T):
             np.subtract(x, aj, out=r)
             r *= r
@@ -418,40 +410,39 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             ssq += r
         ssq /= 3.0
         res = np.sqrt(ssq, out=ssq)
-    bad_cand = ~np.isfinite(res)
-    res[bad_cand] = np.inf
+        bad_cand = ~np.isfinite(res)
+        res[bad_cand] = np.inf
 
-    # t0 floor, ignored when it would reject both candidates.
-    passes = (t0 >= DEFAULT_T0_FLOOR_S) & ~bad_cand
-    any_pass = passes[0] | passes[1]
-    eff0, eff1 = np.where(passes | ~any_pass, res, np.inf)
+        # t0 floor, ignored when it would reject both candidates.
+        passes = (t0 >= DEFAULT_T0_FLOOR_S) & ~bad_cand
+        any_pass = passes[0] | passes[1]
+        eff0, eff1 = np.where(passes | ~any_pass, res, np.inf)
 
-    pick = eff1 < eff0
-    t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
-    tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
-    rows = np.flatnonzero(tie)
-    if rows.size:
-        # Same deployment prior as the scalar path: inside the triangle
-        # first, then nearer the centroid, which is the frame's origin.
-        xt, yt = x[:, rows], y[:, rows]
-        with np.errstate(invalid="ignore"):
+        pick = eff1 < eff0
+        t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
+        tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
+        rows = np.flatnonzero(tie)
+        if rows.size:
+            # Same deployment prior as the scalar path: inside the triangle
+            # first, then nearer the centroid, which is the frame's origin.
+            xt, yt = x[:, rows], y[:, rows]
             in0, in1 = contains(gws, (xt + cx, yt + cy))
             cd0, cd1 = np.hypot(xt, yt)
-        better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
-        better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
-        pick[rows] = np.where(better0, False, better1 | pick[rows])
+            better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
+            better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
+            pick[rows] = np.where(better0, False, better1 | pick[rows])
 
-    sel_res = np.where(pick, eff1, eff0)
-    ok = np.isfinite(sel_res) & ~no_root
-    nan = np.where(ok, 0.0, np.nan)
-    return BatchSolveResult(
-        x=np.where(pick, x[1], x[0]) + cx + nan,
-        y=np.where(pick, y[1], y[0]) + cy + nan,
-        t0_s=np.where(pick, t0[1], t0[0]) + nan,
-        residual_m=sel_res + nan,
-        root_index=pick.astype(np.int8),
-        ok=ok,
-    )
+        sel_res = np.where(pick, eff1, eff0)
+        ok = np.isfinite(sel_res) & ~no_root
+        nan = np.where(ok, 0.0, np.nan)
+        return BatchSolveResult(
+            x=np.where(pick, x[1], x[0]) + cx + nan,
+            y=np.where(pick, y[1], y[0]) + cy + nan,
+            t0_s=np.where(pick, t0[1], t0[0]) + nan,
+            residual_m=sel_res + nan,
+            root_index=pick.astype(np.int8),
+            ok=ok,
+        )
 
 
 def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
@@ -462,8 +453,6 @@ def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEs
 
     Raises
     ------
-    SingularGeometryError
-        If the pairwise gateway-difference system is degenerate.
     NoRealRootError
         If the range quadratic has no real root: the measured hyperbolas
         fail to intersect.

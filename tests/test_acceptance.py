@@ -7,7 +7,6 @@ run always shows the verdict table.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -233,13 +232,10 @@ def test_07_error_distributions(capfd):
 
 
 def _run_cli(*argv, workers):
-    env = dict(os.environ)
-    env.pop("LORAFIX_SEED", None)
     return subprocess.run(
         [sys.executable, "-m", "lorafix", *argv, "--workers", str(workers)],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 

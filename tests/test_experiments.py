@@ -158,6 +158,18 @@ class TestSweepEmax:
             assert np.array_equal(base.sigma_m, par.sigma_m)
             assert np.array_equal(base.failed_solves, par.failed_solves)
 
+    def test_spread_needs_two_finite_targets(self):
+        # One target has a worst case but no spread. At 1e300 m every solve
+        # overflows, so no target has a worst case either.
+        one = sweep_emax(SweepConfig(T_range=(40e-9, 40e-9, 1e-9), n_points=1, seed=1))
+        assert np.isfinite(one.e_max_m[0]) and np.isnan(one.sigma_m[0])
+        huge = SweepConfig(
+            T_range=(40e-9, 40e-9, 1e-9), n_points=10, seed=1, gws=canonical_triangle(1e300)
+        )
+        none = sweep_emax(huge)
+        assert np.isnan(none.e_max_m[0]) and np.isnan(none.sigma_m[0])
+        assert none.failed_solves[0] == 80
+
     def test_stop_below_start_rejected(self):
         with pytest.raises(ValueError, match="below its start"):
             SweepConfig(T_range=(20e-9, 10e-9, 2.5e-9))

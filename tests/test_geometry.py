@@ -84,6 +84,25 @@ def test_gateway_triple_rejects_collinear():
         GatewayTriple(Position(0.0, 0.0), Position(1.0, 1.0), Position(2.0, 2.0))
 
 
+SCALES_M = (1e-3, 1.0, 1e3, 1e6, 1e9)
+
+
+def test_equilateral_accepted_at_every_scale():
+    # The degeneracy rule is scale-free: a 1 mm triangle is as good as 1e9 m.
+    for scale in SCALES_M:
+        canonical_triangle(scale)
+
+
+def test_sliver_rejected_at_every_scale():
+    # Thin enough that the solvers' pairwise-difference system would be
+    # numerically rank 1, so it must never reach them at any scale.
+    for scale in SCALES_M:
+        with pytest.raises(CollinearGatewaysError):
+            GatewayTriple(
+                Position(0.0, 0.0), Position(scale, 0.0), Position(2.0 * scale, 3e-14 * scale)
+            )
+
+
 def test_gateway_triple_as_array():
     tri = canonical_triangle(10000.0)
     arr = tri.as_array()
