@@ -309,8 +309,8 @@ class TestOutOfRangeNumbers:
     # Each of these once died with an OverflowError or ZeroDivisionError
     # traceback: 2**sf / bw_hz was formed before the radio fields were
     # checked, and float ** overflowed in the solvers' singularity tests.
-    # The huge geometries also printed numpy warnings. A 1 mm triangle was
-    # once called collinear, and arrivals seconds apart a singular matrix.
+    # None may print a numpy warning. A 1 mm triangle is a valid geometry,
+    # and arrivals seconds apart on the 10 km triangle have no real root.
     @pytest.mark.parametrize(
         "argv, doc, code, last_line",
         [

@@ -508,8 +508,8 @@ class TestDegenerateInputs:
         assert est.root_index == ref.root_index
 
     def test_no_real_root_raised_by_both_routes(self):
-        # Arrivals seconds apart on a 10 km triangle: the analytic route once
-        # called its arrival matrix singular here, the batch route no root.
+        # Arrivals seconds apart on a 10 km triangle: no two hyperbolas meet,
+        # and both routes must say so with the same error.
         for toa in (NO_REAL_ROOT_OBS, (1.0, 2.0, 3.0)):
             obs = ToAObservation(*toa)
             with pytest.raises(NoRealRootError):
