@@ -27,17 +27,21 @@ independent solution routes are implemented and cross-validated:
     quadratic terms and leaving a 2x2 linear system that expresses (x, y) as
     an affine function of the first-gateway range d1; the circle constraint
     (x-a1)^2 + (y-b1)^2 = d1^2 then closes a scalar quadratic in d1. This is
-    the classic two-hyperbola intersection, fully elementwise, so it also
-    ships as a vectorized batch variant for Monte Carlo work. The batch
-    variant keeps its two candidates candidate-major, as (2, n) arrays, and
-    takes candidate ranges as sqrt(dx^2 + dy^2) rather than ``np.hypot``.
+    the classic two-hyperbola intersection (Chan & Ho 1994), fully
+    elementwise, so it also ships as a vectorized batch variant for Monte
+    Carlo work. Both variants take the coefficients from one helper
+    (``_closing_quadratic``), which the batch calls on its columns and the
+    scalar route on Python floats, so a single fix costs a few dozen float
+    operations and no numpy call, and equals its batch row bit for bit. The
+    batch variant keeps its two candidates candidate-major, as (2, n) arrays;
+    both take candidate ranges as sqrt(dx^2 + dy^2) rather than a hypot.
 
 Both routes work about the gateway centroid, so a triangle far from the
 coordinate origin loses no precision, and both produce (up to) two
 algebraic candidates; the physical one is chosen by the smallest range
 residual, with a tie broken in favor of the candidate inside the gateway
-triangle. The scalar selector of the analytic
-route and the vectorized one of the batch route share the tie tolerance
+triangle. The two scalar routes share one selector (``_pick``), and it
+shares with the batch route's vectorized one the tie tolerance
 (``_res_tie_tol``) and the containment test (:func:`lorafix.geometry.contains`).
 """
 
@@ -151,12 +155,14 @@ def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.nd
     return (t0[:, None] if t0.ndim == 1 else t0) + d / SPEED_OF_LIGHT
 
 
-def _range_residual(x: float, y: float, t0: float, t: np.ndarray, g: np.ndarray) -> float:
-    """RMS mismatch between geometric ranges and time-implied ranges, meters."""
+def _range_residual(x: float, y: float, t0: float, t: tuple, g: tuple) -> float:
+    """RMS mismatch between geometric ranges and time-implied ranges, meters.
+
+    ``t`` holds the three arrival times and ``g`` the three gateways' (x, y).
+    """
     s = 0.0
-    for j in range(3):
-        dj = math.hypot(x - g[j, 0], y - g[j, 1])
-        r = dj - SPEED_OF_LIGHT * (t[j] - t0)
+    for (gx, gy), tj in zip(g, t):
+        r = math.hypot(x - gx, y - gy) - SPEED_OF_LIGHT * (tj - t0)
         s += r * r
     return math.sqrt(s / 3.0)
 
@@ -181,46 +187,87 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     return (r1, r2)
 
 
-def _select_candidate(cands, t, g, triple):
-    """Pick the physical fix among algebraic candidates.
+def _pick(scored, t_max, gws, ox=0.0, oy=0.0):
+    """Pick the physical fix among scored candidates.
 
-    ``cands`` holds (x, y, t0, root_index) tuples. Non-finite candidates are
-    dropped; near-zero t0 is snapped to 0; candidates earlier than the t0
-    floor are rejected unless that empties the pool; the smallest residual
-    wins, with near-ties resolved toward the inside of the triangle.
+    ``scored`` holds (residual, x, y, t0, root_index) tuples of finite
+    candidates in a frame whose origin is the absolute point (ox, oy).
+    Candidates earlier than the t0 floor are rejected unless that empties
+    the pool; the smallest residual wins, with near-ties resolved toward the
+    inside of the triangle. ``t_max`` is the largest |t_j|, which sets the
+    tie tolerance.
     """
-    finite = []
-    for x, y, t0, idx in cands:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t0)):
-            continue
-        if abs(t0) < _T0_CLAMP_S:
-            t0 = 0.0
-        finite.append((x, y, t0, idx))
-    if not finite:
-        raise NoRealRootError("no finite solution candidate")
-    scored = [
-        (_range_residual(x, y, t0, t, g), x, y, t0, idx) for x, y, t0, idx in finite
-    ]
-    passing = [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored
-    passing.sort(key=lambda s: (s[0], s[4]))
-    tie_tol = _res_tie_tol(float(np.max(np.abs(t))))
+    passing = sorted(
+        [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored, key=lambda s: (s[0], s[4])
+    )
+    tie_tol = _res_tie_tol(t_max)
+
+    # Tied candidates both solve the system exactly; fall back on the
+    # deployment prior: inside the triangle first, then nearer its centroid
+    # (covers near-edge fixes noise pushed just outside). math.hypot and the
+    # batch's np.hypot may differ by an ulp, which could only matter for two
+    # candidates an ulp apart in centroid distance.
+    def _key(s):
+        cx, cy = _centred_frame(gws)[:2]
+        inside = contains(gws, Position(s[1] + ox, s[2] + oy))
+        return (0 if inside else 1, math.hypot(s[1] - (cx - ox), s[2] - (cy - oy)))
+
     best = passing[0]
-    cx = (g[0, 0] + g[1, 0] + g[2, 0]) / 3.0
-    cy = (g[0, 1] + g[1, 1] + g[2, 1]) / 3.0
     for cand in passing[1:]:
         if cand[0] - best[0] >= tie_tol:
             break
-        # Tied candidates both solve the system exactly; fall back on the
-        # deployment prior: inside the triangle first, then nearer its
-        # centroid (covers near-edge fixes noise pushed just outside).
-        def _key(s):
-            inside = contains(triple, Position(s[1], s[2]))
-            return (0 if inside else 1, math.hypot(s[1] - cx, s[2] - cy))
-
         if _key(cand) < _key(best):
             best = cand
     res, x, y, t0, idx = best
-    return LocalizationEstimate(Position(x, y), t0, res, idx)
+    return LocalizationEstimate(Position(x + ox, y + oy), t0, res, idx)
+
+
+def _centred_frame(gws: GatewayTriple):
+    """The gateway centroid (cx, cy) and the gateway coordinates about it,
+    as ((a1, a2, a3), (b1, b2, b3)), all Python floats."""
+    g1, g2, g3 = gws.g1, gws.g2, gws.g3
+    x1, x2, x3 = float(g1.x), float(g2.x), float(g3.x)
+    y1, y2, y3 = float(g1.y), float(g2.y), float(g3.y)
+    cx = (x1 + x2 + x3) / 3.0
+    cy = (y1 + y2 + y3) / 3.0
+    return cx, cy, (x1 - cx, x2 - cx, x3 - cx), (y1 - cy, y2 - cy, y3 - cy)
+
+
+def _closing_quadratic(t1, t2, t3, ga, gb):
+    """Closed-form coefficients in the centroid frame ``ga``, ``gb``.
+
+    Returns (xc, xl, yc, yl, qa, qb, qc): the position x = xc + xl*d1,
+    y = yc + yl*d1 as an affine function of the first gateway's range d1,
+    and the closing quadratic qa*d1^2 + qb*d1 + qc = 0. The arithmetic runs
+    unchanged on floats (one observation) and on arrays (one value per
+    row), so the scalar and batch closed forms share every bit of it.
+    """
+    c = SPEED_OF_LIGHT
+    a1, a2, a3 = ga
+    b1, b2, b3 = gb
+    A21, B21 = 2.0 * (a2 - a1), 2.0 * (b2 - b1)
+    A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
+    D = A21 * B31 - A31 * B21  # 8x the signed area, which GatewayTriple keeps from 0
+
+    d21 = c * (t2 - t1)
+    d31 = c * (t3 - t1)
+    k2 = (a2 * a2 + b2 * b2) - (a1 * a1 + b1 * b1)
+    k3 = (a3 * a3 + b3 * b3) - (a1 * a1 + b1 * b1)
+    p2 = k2 - d21 * d21
+    p3 = k3 - d31 * d31
+
+    # (x, y) = (xc, yc) + (xl, yl) * d1 by Cramer's rule.
+    xc = (p2 * B31 - p3 * B21) / D
+    xl = (-2.0 * d21 * B31 + 2.0 * d31 * B21) / D
+    yc = (A21 * p3 - A31 * p2) / D
+    yl = (-2.0 * d31 * A21 + 2.0 * d21 * A31) / D
+
+    fx = xc - a1
+    fy = yc - b1
+    qa = xl * xl + yl * yl - 1.0
+    qb = 2.0 * (fx * xl + fy * yl)
+    qc = fx * fx + fy * fy
+    return xc, xl, yc, yl, qa, qb, qc
 
 
 def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
@@ -254,37 +301,38 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
         If the closing quadratic has no real root beyond tolerance.
     """
     c = SPEED_OF_LIGHT
-    g = gws.as_array()
-    t = obs.as_array()
-    cx = (gws.g1.x + gws.g2.x + gws.g3.x) / 3.0
-    cy = (gws.g1.y + gws.g2.y + gws.g3.y) / 3.0
-    A = np.empty((3, 3))
-    A[:, 0] = g[:, 0] - cx
-    A[:, 1] = g[:, 1] - cy
-    radius = max(math.hypot(p.x - cx, p.y - cy) for p in (gws.g1, gws.g2, gws.g3))
-    t_min = min(obs.t1, obs.t2, obs.t3)
-    A[:, 2] = c * (t - t_min) + radius
-    # On huge geometries this overflows to non-finite candidates, which the
-    # selector drops; numpy need not warn about it.
+    t = (float(obs.t1), float(obs.t2), float(obs.t3))
+    cx, cy, ga, gb = _centred_frame(gws)
+    radius = max(map(math.hypot, ga, gb))
+    t_min = min(t)
+    rows = [(a, b, c * (tj - t_min) + radius) for a, b, tj in zip(ga, gb, t)]
+    # On huge geometries this overflows to non-finite candidates, which are
+    # dropped below; numpy need not warn about it. Past the LAPACK solve the
+    # route runs in Python floats, which never warn.
     with np.errstate(all="ignore"):
-        rhs = np.ones((3, 2))
-        rhs[:, 1] = A[:, 0] ** 2 + A[:, 1] ** 2 - A[:, 2] ** 2
-        uv_cols = np.linalg.solve(A, rhs)
-        u = uv_cols[:, 0]
-        v = uv_cols[:, 1]
-        # Indefinite inner products: the third coordinate carries the imaginary
-        # unit, so its square enters with a minus sign.
-        uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
-        uvp = u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
-        vv = v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
-        roots = _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
-        cands = []
-        for idx, l in enumerate(roots):
-            x = 0.5 * (l * u[0] + v[0]) + cx
-            y = 0.5 * (l * u[1] + v[1]) + cy
-            t0 = t_min - (l * u[2] + v[2] + 2.0 * radius) / (2.0 * c)
-            cands.append((x, y, t0, idx))
-        return _select_candidate(cands, t, g, gws)
+        uv_cols = np.linalg.solve(
+            np.array(rows), np.array([(1.0, a * a + b * b - z * z) for a, b, z in rows])
+        )
+    u, v = uv_cols.T.tolist()
+    # Indefinite inner products: the third coordinate carries the imaginary
+    # unit, so its square enters with a minus sign.
+    uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
+    uvp = u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
+    vv = v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
+    g = ((gws.g1.x, gws.g1.y), (gws.g2.x, gws.g2.y), (gws.g3.x, gws.g3.y))
+    scored = []
+    for idx, l in enumerate(_quadratic_roots(uu, 2.0 * uvp - 4.0, vv)):
+        x = 0.5 * (l * u[0] + v[0]) + cx
+        y = 0.5 * (l * u[1] + v[1]) + cy
+        t0 = t_min - (l * u[2] + v[2] + 2.0 * radius) / (2.0 * c)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t0)):
+            continue
+        if abs(t0) < _T0_CLAMP_S:
+            t0 = 0.0
+        scored.append((_range_residual(x, y, t0, t, g), x, y, t0, idx))
+    if not scored:
+        raise NoRealRootError("no finite solution candidate")
+    return _pick(scored, max(map(abs, t)), gws)
 
 
 @dataclass(frozen=True)
@@ -317,9 +365,10 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         (xl^2 + yl^2 - 1) d1^2 + 2[(xc-a1) xl + (yc-b1) yl] d1
             + (xc-a1)^2 + (yc-b1)^2 = 0,
 
-    solved with the same stable quadratic used by the analytic route. Root
-    selection (t0 floor, residual, tie toward the triangle interior) matches
-    the scalar solvers row for row.
+    solved with the same stable quadratic used by the analytic route. The
+    coefficients come from ``_closing_quadratic``, shared with
+    :func:`solve_closed_form`. Root selection (t0 floor, residual, tie
+    toward the triangle interior) matches the scalar solvers row for row.
 
     The two candidates are stored candidate-major, as (2, n) arrays whose
     row k holds root k of every observation, so each elementwise pass runs
@@ -343,39 +392,11 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
     t = np.asarray(toas, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"toas must have shape (n, 3), got {t.shape}")
-    cx = (gws.g1.x + gws.g2.x + gws.g3.x) / 3.0
-    cy = (gws.g1.y + gws.g2.y + gws.g3.y) / 3.0
-    ga = (gws.g1.x - cx, gws.g2.x - cx, gws.g3.x - cx)
-    gb = (gws.g1.y - cy, gws.g2.y - cy, gws.g3.y - cy)
-    a1, a2, a3 = ga
-    b1, b2, b3 = gb
-
-    A21, B21 = 2.0 * (a2 - a1), 2.0 * (b2 - b1)
-    A31, B31 = 2.0 * (a3 - a1), 2.0 * (b3 - b1)
-    D = A21 * B31 - A31 * B21  # 8x the signed area, which GatewayTriple keeps from 0
-
+    cx, cy, ga, gb = _centred_frame(gws)
     # Rows with no real root, or huge geometries, overflow or divide by zero
     # into non-finite values, which the verdicts below handle.
     with np.errstate(all="ignore"):
-        d21 = c * (t[:, 1] - t[:, 0])
-        d31 = c * (t[:, 2] - t[:, 0])
-        k2 = (a2 * a2 + b2 * b2) - (a1 * a1 + b1 * b1)
-        k3 = (a3 * a3 + b3 * b3) - (a1 * a1 + b1 * b1)
-        p2 = k2 - d21 * d21
-        p3 = k3 - d31 * d31
-
-        # (x, y) = (xc, yc) + (xl, yl) * d1 by Cramer's rule.
-        xc = (p2 * B31 - p3 * B21) / D
-        xl = (-2.0 * d21 * B31 + 2.0 * d31 * B21) / D
-        yc = (A21 * p3 - A31 * p2) / D
-        yl = (-2.0 * d31 * A21 + 2.0 * d21 * A31) / D
-
-        fx = xc - a1
-        fy = yc - b1
-        qa = xl * xl + yl * yl - 1.0
-        qb = 2.0 * (fx * xl + fy * yl)
-        qc = fx * fx + fy * fy
-
+        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(t[:, 0], t[:, 1], t[:, 2], ga, gb)
         qb2 = qb * qb
         qac4 = 4.0 * qa * qc
         disc = qb2 - qac4
@@ -446,10 +467,13 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
 
 
 def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
-    """Closed-form TDoA solve of a single observation.
+    """Closed-form TDoA solve of a single observation, in Python floats.
 
-    Thin wrapper over :func:`solve_closed_form_batch` (one row), so the
-    scalar and batch paths cannot drift apart.
+    Gives bit for bit the row :func:`solve_closed_form_batch` gives: the
+    coefficients come from the helper the batch solver calls on its columns,
+    the candidates and their residuals follow the batch's frame and order of
+    operations, and the selection is the batch's rule. A bitwise test over
+    off-origin triangles keeps the two routes together.
 
     Raises
     ------
@@ -457,12 +481,29 @@ def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEs
         If the range quadratic has no real root: the measured hyperbolas
         fail to intersect.
     """
-    out = solve_closed_form_batch(obs.as_array()[None, :], gws)
-    if not bool(out.ok[0]):
+    c = SPEED_OF_LIGHT
+    t = (float(obs.t1), float(obs.t2), float(obs.t3))
+    cx, cy, ga, gb = _centred_frame(gws)
+    try:
+        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(*t, ga, gb)
+    except ZeroDivisionError:
+        # Eight times the area underflowed to 0; the batch gets NaN rows.
+        raise NoRealRootError("triangle area underflows") from None
+    scored = []
+    for idx, d1 in enumerate(_quadratic_roots(qa, qb, qc)):
+        x = xc + xl * d1
+        y = yc + yl * d1
+        t0 = t[0] - d1 / c
+        if abs(t0) < _T0_CLAMP_S:
+            t0 = 0.0
+        s = 0.0
+        for aj, bj, tj in zip(ga, gb, t):
+            dx, dy = x - aj, y - bj
+            r = math.sqrt(dx * dx + dy * dy) - c * (tj - t0)
+            s += r * r
+        res = math.sqrt(s / 3.0)
+        if math.isfinite(res):
+            scored.append((res, x, y, t0, idx))
+    if not scored:
         raise NoRealRootError("observation admits no real range solution")
-    return LocalizationEstimate(
-        Position(float(out.x[0]), float(out.y[0])),
-        float(out.t0_s[0]),
-        float(out.residual_m[0]),
-        int(out.root_index[0]),
-    )
+    return _pick(scored, max(map(abs, t)), gws, cx, cy)

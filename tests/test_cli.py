@@ -329,6 +329,7 @@ class TestOutOfRangeNumbers:
             ),
             (["solve", *["1e-6"] * 3, "--diameter-m", "0.001"], None, 0, "position (0.000, 0.000)"),
             (["solve", "1", "2", "3"], None, 2, "error: no-real-root: "),
+            (["solve", "--", "1e300", "-1e300", "0"], None, 2, "error: no-real-root: "),
         ],
     )
     def test_exit_code_and_message(self, tmp_path, argv, doc, code, last_line):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,18 +290,42 @@ def distance(p, q):
 
 class TestBatchSolver:
     def test_matches_scalar_bitwise(self):
+        """The scalar closed form gives the batch row bit for bit, and the
+        same reject verdict: 300 rows on the canonical triangle, then 20k
+        rows on 400 triangles of 1 cm to 1e8 m, rotated and shifted by up to
+        100 sizes, so the centroid frame matters, with timestamps perturbed
+        by up to 1000 light-times of the triangle, so rootless rows are
+        included."""
         rng = np.random.default_rng(81)
-        pts = _random_interior(300, 82)
-        toas = forward_toa_batch(pts, TRI, rng.uniform(0.0, 1e-3, 300))
-        toas += rng.uniform(-40e-9, 40e-9, toas.shape)
-        out = solve_closed_form_batch(toas, TRI)
-        for i in range(300):
-            est = solve_closed_form(ToAObservation(*toas[i]), TRI)
-            assert est.pos.x == out.x[i]
-            assert est.pos.y == out.y[i]
-            assert est.t0_s == out.t0_s[i]
-            assert est.residual_m == out.residual_m[i]
-            assert est.root_index == out.root_index[i]
+        toas = forward_toa_batch(_random_interior(300, 82), TRI, rng.uniform(0.0, 1e-3, 300))
+        cases = [(TRI, toas + rng.uniform(-40e-9, 40e-9, toas.shape))]
+        for _ in range(400):
+            size = 10.0 ** rng.uniform(-2.0, 8.0)
+            verts = _random_triangle(rng, size, 10.0) + rng.uniform(-100.0, 100.0, 2) * size
+            gws = _triple(verts)
+            targets = rng.dirichlet([1.0, 1.0, 1.0], 50) @ verts
+            targets *= rng.uniform(0.8, 1.2, (50, 1))
+            toas = forward_toa_batch(targets, gws, rng.uniform(0.0, 1e-3, 50))
+            rel = rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1000.0], (50, 1))
+            toas += rng.uniform(-1.0, 1.0, toas.shape) * (rel * size / SPEED_OF_LIGHT)
+            cases.append((gws, toas))
+        checked = rootless = 0
+        for k, (gws, toas) in enumerate(cases):
+            out = solve_closed_form_batch(toas, gws)
+            for i, row in enumerate(toas):
+                try:
+                    est = solve_closed_form(ToAObservation(*row), gws)
+                except NoRealRootError:
+                    assert not out.ok[i], (k, i)
+                    rootless += 1
+                    continue
+                assert out.ok[i], (k, i)
+                got = (est.pos.x, est.pos.y, est.t0_s, est.residual_m, est.root_index)
+                want = (out.x[i], out.y[i], out.t0_s[i], out.residual_m[i], out.root_index[i])
+                assert got == want, (k, i)
+                checked += 1
+        assert checked + rootless == 20_300
+        assert 2_000 < rootless < 10_000
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -470,7 +495,8 @@ class TestInvariances:
 
 
 def _residual(est, obs):
-    return _range_residual(est.pos.x, est.pos.y, est.t0_s, obs.as_array(), TRI.as_array())
+    g = tuple((p.x, p.y) for p in (TRI.g1, TRI.g2, TRI.g3))
+    return _range_residual(est.pos.x, est.pos.y, est.t0_s, (obs.t1, obs.t2, obs.t3), g)
 
 
 class TestResidual:
@@ -533,3 +559,26 @@ class TestDegenerateInputs:
             solve_closed_form(obs, tri)
         with pytest.raises(NoRealRootError):
             solve_analytic(obs, tri)
+
+    def test_numpy_scalar_inputs_do_not_warn(self):
+        # Timestamps that overflow c*(t_j - t_1) reject without a numpy
+        # warning, also when they or the gateways arrive as numpy scalars.
+        obs = ToAObservation(np.float64(1e300), np.float64(-1e300), np.float64(0.0))
+        np_tri = GatewayTriple(
+            *(Position(np.float64(p.x), np.float64(p.y)) for p in (TRI.g1, TRI.g2, TRI.g3))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (solve_closed_form, solve_analytic):
+                for gws in (TRI, np_tri):
+                    with pytest.raises(NoRealRootError):
+                        solve(obs, gws)
+
+    def test_underflowing_area_rejected_like_batch(self):
+        # A 1e-170 m triangle is valid, but eight times its area underflows
+        # to 0 in the closed form: the batch row fails and the scalar route
+        # rejects it rather than dividing by zero.
+        tiny = canonical_triangle(1e-170)
+        assert not solve_closed_form_batch(np.zeros((1, 3)), tiny).ok[0]
+        with pytest.raises(NoRealRootError):
+            solve_closed_form(ToAObservation(0.0, 0.0, 0.0), tiny)
