@@ -284,10 +284,14 @@ def cmd_sweep_emax(cfg) -> tuple:
     cols = ["T_s", "e_max_m", "sigma_m", "failed_solves"]
     rows = zip(*(a.tolist() for a in (res.T_s, res.e_max_m, res.sigma_m, res.failed_solves)))
     idx = int(np.argmin(np.abs(res.T_s - _get(cfg, "counter.T_ns", float) * 1e-9)))
-    summary = (
-        f"e_max(T={res.T_s[idx] * 1e9:g} ns) = {res.e_max_m[idx]:.2f} m "
-        f"(sigma {res.sigma_m[idx]:.2f} m) over {points} targets"
-    )
+    if np.isnan(res.e_max_m[idx]):
+        # Every target failed at the anchor period.
+        summary = f"no fix over {points} targets ({int(res.failed_solves[idx])} failed solves)"
+    else:
+        summary = (
+            f"e_max(T={res.T_s[idx] * 1e9:g} ns) = {res.e_max_m[idx]:.2f} m "
+            f"(sigma {res.sigma_m[idx]:.2f} m) over {points} targets"
+        )
     return cols, rows, summary
 
 

@@ -40,9 +40,11 @@ Both routes work about the gateway centroid, so a triangle far from the
 coordinate origin loses no precision, and both produce (up to) two
 algebraic candidates; the physical one is chosen by the smallest range
 residual, with a tie broken in favor of the candidate inside the gateway
-triangle. The two scalar routes share one selector (``_pick``), and it
-shares with the batch route's vectorized one the tie tolerance
-(``_res_tie_tol``) and the containment test (:func:`lorafix.geometry.contains`).
+triangle. Past candidate generation the two scalar routes share one stage
+(``_select``): it scores their centroid-frame candidates with the batch
+route's residual and picks with the batch route's rule, sharing with the
+batch the tie tolerance (``_res_tie_tol``) and the containment test
+(:func:`lorafix.geometry.contains`).
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ class ToAObservation:
             if not math.isfinite(t):
                 raise ValueError(f"timestamps must be finite, got {t!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t1, self.t2, self.t3], dtype=float)
-
 
 @dataclass(frozen=True)
 class LocalizationEstimate:
@@ -155,18 +154,6 @@ def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.nd
     return (t0[:, None] if t0.ndim == 1 else t0) + d / SPEED_OF_LIGHT
 
 
-def _range_residual(x: float, y: float, t0: float, t: tuple, g: tuple) -> float:
-    """RMS mismatch between geometric ranges and time-implied ranges, meters.
-
-    ``t`` holds the three arrival times and ``g`` the three gateways' (x, y).
-    """
-    s = 0.0
-    for (gx, gy), tj in zip(g, t):
-        r = math.hypot(x - gx, y - gy) - SPEED_OF_LIGHT * (tj - t0)
-        s += r * r
-    return math.sqrt(s / 3.0)
-
-
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     """Both roots of a*x^2 + b*x + c = 0 via the cancellation-safe form.
 
@@ -187,39 +174,53 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     return (r1, r2)
 
 
-def _pick(scored, t_max, gws, ox=0.0, oy=0.0):
-    """Pick the physical fix among scored candidates.
+def _select(cands, t, gws, frame):
+    """Score a scalar route's candidates and pick the physical fix.
 
-    ``scored`` holds (residual, x, y, t0, root_index) tuples of finite
-    candidates in a frame whose origin is the absolute point (ox, oy).
-    Candidates earlier than the t0 floor are rejected unless that empties
-    the pool; the smallest residual wins, with near-ties resolved toward the
-    inside of the triangle. ``t_max`` is the largest |t_j|, which sets the
-    tie tolerance.
+    ``cands`` holds up to two (x, y, t0) in root order, x and y about the
+    centroid of ``frame`` (from :func:`_centred_frame`); ``t`` holds the
+    arrival times. The scoring (1 ps t0 clamp, RMS range residual, drop if
+    not finite) and the pick (t0 floor unless it empties the pool, smallest
+    residual, near-ties toward the triangle's inside) follow the batch route
+    operation for operation. Raises NoRealRootError if no candidate is left.
     """
-    passing = sorted(
-        [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored, key=lambda s: (s[0], s[4])
-    )
-    tie_tol = _res_tie_tol(t_max)
+    c = SPEED_OF_LIGHT
+    cx, cy, ga, gb = frame
+    scored = []
+    for idx, (x, y, t0) in enumerate(cands):
+        if abs(t0) < _T0_CLAMP_S:
+            t0 = 0.0
+        s = 0.0
+        for aj, bj, tj in zip(ga, gb, t):
+            dx, dy = x - aj, y - bj
+            r = math.sqrt(dx * dx + dy * dy) - c * (tj - t0)
+            s += r * r
+        res = math.sqrt(s / 3.0)
+        # Not finite whenever x, y or t0 is not, or a range overflows.
+        if math.isfinite(res):
+            scored.append((res, x, y, t0, idx))
+    if not scored:
+        raise NoRealRootError("observation admits no real range solution")
 
-    # Tied candidates both solve the system exactly; fall back on the
-    # deployment prior: inside the triangle first, then nearer its centroid
-    # (covers near-edge fixes noise pushed just outside). math.hypot and the
-    # batch's np.hypot may differ by an ulp, which could only matter for two
-    # candidates an ulp apart in centroid distance.
-    def _key(s):
-        cx, cy = _centred_frame(gws)[:2]
-        inside = contains(gws, Position(s[1] + ox, s[2] + oy))
-        return (0 if inside else 1, math.hypot(s[1] - (cx - ox), s[2] - (cy - oy)))
-
+    passing = [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored
     best = passing[0]
-    for cand in passing[1:]:
-        if cand[0] - best[0] >= tie_tol:
-            break
-        if _key(cand) < _key(best):
-            best = cand
+    if len(passing) == 2:
+        other = passing[1]
+        if other[0] < best[0]:
+            best, other = other, best
+        # Tied candidates both solve the system exactly; fall back on the
+        # deployment prior: inside the triangle first, then nearer its
+        # centroid (covers near-edge fixes noise pushed just outside).
+        # math.hypot and the batch's np.hypot may differ by an ulp.
+        if other[0] - best[0] < _res_tie_tol(max(map(abs, t))):
+            key = [
+                (not contains(gws, Position(x + cx, y + cy)), math.hypot(x, y))
+                for _, x, y, _, _ in (best, other)
+            ]
+            if key[1] < key[0]:
+                best = other
     res, x, y, t0, idx = best
-    return LocalizationEstimate(Position(x + ox, y + oy), t0, res, idx)
+    return LocalizationEstimate(Position(x + cx, y + cy), t0, res, idx)
 
 
 def _centred_frame(gws: GatewayTriple):
@@ -284,10 +285,13 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     quadratic in l = (x-cx)^2 + (y-cy)^2 - c^2 (t0 - s)^2 using the
     indefinite inner product (see module docstring). The time column is
     formed as c*(t_j - min_j t_j) + R, so R survives however late the
-    arrivals are. Candidates are
+    arrivals are. The candidates, in the centroid frame, are
 
-        x = cx + (l*u1 + v1) / 2,  y = cy + (l*u2 + v2) / 2,
-        t0 = s - (l*u3 + v3) / (2c).
+        x - cx = (l*u1 + v1) / 2,  y - cy = (l*u2 + v2) / 2,
+        t0 = s - (l*u3 + v3) / (2c),
+
+    and ``_select`` scores them and picks the fix, as it does for
+    :func:`solve_closed_form`.
 
     The time column is then at least R in every row while the first two sum
     to zero, so it never depends on them. Indeed A is singular only when the
@@ -298,16 +302,18 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     Raises
     ------
     NoRealRootError
-        If the closing quadratic has no real root beyond tolerance.
+        If the closing quadratic has no real root beyond tolerance, or no
+        candidate has a finite residual.
     """
     c = SPEED_OF_LIGHT
     t = (float(obs.t1), float(obs.t2), float(obs.t3))
-    cx, cy, ga, gb = _centred_frame(gws)
+    frame = _centred_frame(gws)
+    _, _, ga, gb = frame
     radius = max(map(math.hypot, ga, gb))
     t_min = min(t)
     rows = [(a, b, c * (tj - t_min) + radius) for a, b, tj in zip(ga, gb, t)]
-    # On huge geometries this overflows to non-finite candidates, which are
-    # dropped below; numpy need not warn about it. Past the LAPACK solve the
+    # On huge geometries this overflows to non-finite candidates, which
+    # ``_select`` drops; numpy need not warn about it. Past the LAPACK solve the
     # route runs in Python floats, which never warn.
     with np.errstate(all="ignore"):
         uv_cols = np.linalg.solve(
@@ -319,20 +325,15 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
     uvp = u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
     vv = v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
-    g = ((gws.g1.x, gws.g1.y), (gws.g2.x, gws.g2.y), (gws.g3.x, gws.g3.y))
-    scored = []
-    for idx, l in enumerate(_quadratic_roots(uu, 2.0 * uvp - 4.0, vv)):
-        x = 0.5 * (l * u[0] + v[0]) + cx
-        y = 0.5 * (l * u[1] + v[1]) + cy
-        t0 = t_min - (l * u[2] + v[2] + 2.0 * radius) / (2.0 * c)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t0)):
-            continue
-        if abs(t0) < _T0_CLAMP_S:
-            t0 = 0.0
-        scored.append((_range_residual(x, y, t0, t, g), x, y, t0, idx))
-    if not scored:
-        raise NoRealRootError("no finite solution candidate")
-    return _pick(scored, max(map(abs, t)), gws)
+    cands = [
+        (
+            0.5 * (l * u[0] + v[0]),
+            0.5 * (l * u[1] + v[1]),
+            t_min - (l * u[2] + v[2] + 2.0 * radius) / (2.0 * c),
+        )
+        for l in _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
+    ]
+    return _select(cands, t, gws, frame)
 
 
 @dataclass(frozen=True)
@@ -471,39 +472,24 @@ def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEs
 
     Gives bit for bit the row :func:`solve_closed_form_batch` gives: the
     coefficients come from the helper the batch solver calls on its columns,
-    the candidates and their residuals follow the batch's frame and order of
-    operations, and the selection is the batch's rule. A bitwise test over
-    off-origin triangles keeps the two routes together.
+    the candidates are formed in the batch's frame and order of operations,
+    and ``_select``, which also serves :func:`solve_analytic`, scores them
+    with the batch's residual and picks with the batch's rule. A bitwise
+    test over off-origin triangles keeps the two routes together.
 
     Raises
     ------
     NoRealRootError
-        If the range quadratic has no real root: the measured hyperbolas
-        fail to intersect.
+        If the range quadratic has no real root (the measured hyperbolas
+        fail to intersect), or no candidate has a finite residual.
     """
     c = SPEED_OF_LIGHT
     t = (float(obs.t1), float(obs.t2), float(obs.t3))
-    cx, cy, ga, gb = _centred_frame(gws)
+    frame = _centred_frame(gws)
     try:
-        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(*t, ga, gb)
+        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(*t, *frame[2:])
     except ZeroDivisionError:
         # Eight times the area underflowed to 0; the batch gets NaN rows.
         raise NoRealRootError("triangle area underflows") from None
-    scored = []
-    for idx, d1 in enumerate(_quadratic_roots(qa, qb, qc)):
-        x = xc + xl * d1
-        y = yc + yl * d1
-        t0 = t[0] - d1 / c
-        if abs(t0) < _T0_CLAMP_S:
-            t0 = 0.0
-        s = 0.0
-        for aj, bj, tj in zip(ga, gb, t):
-            dx, dy = x - aj, y - bj
-            r = math.sqrt(dx * dx + dy * dy) - c * (tj - t0)
-            s += r * r
-        res = math.sqrt(s / 3.0)
-        if math.isfinite(res):
-            scored.append((res, x, y, t0, idx))
-    if not scored:
-        raise NoRealRootError("observation admits no real range solution")
-    return _pick(scored, max(map(abs, t)), gws, cx, cy)
+    cands = [(xc + xl * d1, yc + yl * d1, t[0] - d1 / c) for d1 in _quadratic_roots(qa, qb, qc)]
+    return _select(cands, t, gws, frame)

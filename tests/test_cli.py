@@ -320,12 +320,12 @@ class TestOutOfRangeNumbers:
             (["alpha-bounds"], {"alpha": {"pl_caps": {"0": 5}}}, 1, "error: bw_hz must be one of"),
             (["solve", *["1e-4"] * 3, "--diameter-m", "1e200"], None, 2, "error: no-real-root: "),
             (["solve", *["1e146"] * 3, "--diameter-m", "1e150"], None, 0, "position (0.000, 0.000)"),
-            # Every solve fails, so the summary's e_max is NaN.
+            # Every solve fails, so the summary reports no fix, as error-map's does.
             (
                 ["sweep-emax", "--seed", "1", "--points", "10", "--diameter-m", "1e300"],
                 None,
                 0,
-                "e_max(T=40 ns) = nan m",
+                "no fix over 10 targets (80 failed solves)",
             ),
             (["solve", *["1e-6"] * 3, "--diameter-m", "0.001"], None, 0, "position (0.000, 0.000)"),
             (["solve", "1", "2", "3"], None, 2, "error: no-real-root: "),
@@ -353,8 +353,9 @@ def test_programming_error_is_not_a_config_error(monkeypatch, error):
         main(["sweep-emax", "--seed", "1", "--points", "10"])
 
 
+_OBS = forward_toa(Position(500.0, 250.0), canonical_triangle(5000.0))
 FAST = {
-    "solve": {"toa": forward_toa(Position(500.0, 250.0), canonical_triangle(5000.0)).as_array().tolist()},
+    "solve": {"toa": [_OBS.t1, _OBS.t2, _OBS.t3]},
     "airtime": {},
     "sweep-emax": {"seed": 1, "sweep": {"start_ns": 40, "stop_ns": 40, "points": 20}},
     "dutycycle-grid": {},

@@ -25,7 +25,6 @@ from lorafix.solver import (
     _T0_CLAMP_S,
     DEFAULT_T0_FLOOR_S,
     BatchSolveResult,
-    _range_residual,
     _res_tie_tol,
 )
 
@@ -178,7 +177,7 @@ class TestForwardModel:
         assert batch.shape == (50, 3)
         for i in range(50):
             obs = forward_toa(Position(*pts[i]), TRI, float(t0s[i]))
-            assert np.array_equal(batch[i], obs.as_array())
+            assert np.array_equal(batch[i], [obs.t1, obs.t2, obs.t3])
 
 
 def test_toa_observation_validation():
@@ -334,7 +333,8 @@ class TestBatchSolver:
             solve_closed_form_batch(np.zeros((2, 4)), TRI)
 
     def test_failed_rows_are_nan(self):
-        toas = np.array([forward_toa(Position(0.0, 0.0), TRI).as_array(), NO_REAL_ROOT_OBS])
+        obs = forward_toa(Position(0.0, 0.0), TRI)
+        toas = np.array([[obs.t1, obs.t2, obs.t3], NO_REAL_ROOT_OBS])
         out = solve_closed_form_batch(toas, TRI)
         assert out.ok[0] and not out.ok[1]
         assert np.isnan(out.x[1]) and np.isnan(out.y[1]) and np.isnan(out.t0_s[1])
@@ -494,19 +494,29 @@ class TestInvariances:
         assert gaps == []
 
 
-def _residual(est, obs):
-    g = tuple((p.x, p.y) for p in (TRI.g1, TRI.g2, TRI.g3))
-    return _range_residual(est.pos.x, est.pos.y, est.t0_s, (obs.t1, obs.t2, obs.t3), g)
+def _residual(est, obs, gws=TRI):
+    """RMS range residual of a fix, in absolute coordinates with math.hypot."""
+    s = 0.0
+    for g, tj in zip((gws.g1, gws.g2, gws.g3), (obs.t1, obs.t2, obs.t3)):
+        r = math.hypot(est.pos.x - g.x, est.pos.y - g.y) - SPEED_OF_LIGHT * (tj - est.t0_s)
+        s += r * r
+    return math.sqrt(s / 3.0)
 
 
 class TestResidual:
     def test_exact_solution_has_tiny_residual(self):
-        for (x, y) in _random_interior(200, 86):
-            obs = forward_toa(Position(float(x), float(y)), TRI, 5e-4)
-            est = solve_closed_form(obs, TRI)
-            assert est.residual_m < 1e-6
-            # The analytic route's scalar residual agrees with the batch one.
-            assert _residual(est, obs) == pytest.approx(est.residual_m, abs=1e-9)
+        # The canonical triangle and the same triangle 50 km off the origin,
+        # where the solvers' centroid frame and this oracle's absolute one
+        # round differently.
+        shift = np.array([3e4, -4e4])
+        verts = np.array([(g.x, g.y) for g in (TRI.g1, TRI.g2, TRI.g3)])
+        for gws, offset in ((TRI, 0.0), (_triple(verts + shift), shift)):
+            for (x, y) in _random_interior(200, 86) + offset:
+                obs = forward_toa(Position(float(x), float(y)), gws, 5e-4)
+                for solve in (solve_analytic, solve_closed_form):
+                    est = solve(obs, gws)
+                    assert est.residual_m < 1e-6
+                    assert _residual(est, obs, gws) == pytest.approx(est.residual_m, abs=1e-9)
 
     def test_displaced_estimate_has_positive_residual(self):
         obs = forward_toa(Position(0.0, 0.0), TRI, 1e-4)
