@@ -11,7 +11,6 @@ transmitter, and provides:
   error across the triangle.
 """
 
-from .constants import SPEED_OF_LIGHT
 from .counter import (
     CounterConfig,
     CounterOverflowError,
@@ -58,6 +57,7 @@ from .lora_phy import (
     time_on_air,
 )
 from .solver import (
+    SPEED_OF_LIGHT,
     BatchSolveResult,
     LocalizationEstimate,
     NoRealRootError,

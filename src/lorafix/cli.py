@@ -137,8 +137,8 @@ def _load_config(args) -> dict:
 def _num(value, key: str, kind=float):
     """Config ``value`` at dotted ``key`` as ``kind`` (int or float).
 
-    JSON numbers only: a bool, a string or null is a ConfigError, and so is
-    a fractional value where an integer is expected.
+    Finite JSON numbers only: a bool, a string, null, NaN or an infinity is
+    a ConfigError, and so is a fractional value where an integer is expected.
     """
     if kind is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -147,6 +147,10 @@ def _num(value, key: str, kind=float):
     if not ok or isinstance(value, bool):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
+    # argparse's float() and json.load accept nan and inf, and a JSON integer
+    # can lie beyond the float range.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -173,7 +177,10 @@ def _nums(values, key: str, kind=float, n=None) -> list:
 def _resolve_seed(cfg) -> int:
     if _get(cfg, "seed") is None:
         raise ConfigError("stochastic commands need a seed (--seed or the config seed key)")
-    return _get(cfg, "seed", int)
+    seed = _get(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _geometry(cfg) -> GatewayTriple:
@@ -276,6 +283,7 @@ def cmd_sweep_emax(cfg) -> tuple:
     points = _get(cfg, "sweep.points", int)
     scfg = SweepConfig(T_range=tuple(t * 1e-9 for t in T_ns), n_points=points, seed=seed, gws=gws)
     workers = _get(cfg, "workers", int)
+    anchor_s = _get(cfg, "counter.T_ns", float) * 1e-9
     print(
         f"sweep-emax: {points} targets, T {T_ns[0]:g}..{T_ns[1]:g} ns, workers={workers}",
         file=sys.stderr,
@@ -283,7 +291,7 @@ def cmd_sweep_emax(cfg) -> tuple:
     res = sweep_emax(scfg, workers=workers)
     cols = ["T_s", "e_max_m", "sigma_m", "failed_solves"]
     rows = zip(*(a.tolist() for a in (res.T_s, res.e_max_m, res.sigma_m, res.failed_solves)))
-    idx = int(np.argmin(np.abs(res.T_s - _get(cfg, "counter.T_ns", float) * 1e-9)))
+    idx = int(np.argmin(np.abs(res.T_s - anchor_s)))
     if np.isnan(res.e_max_m[idx]):
         # Every target failed at the anchor period.
         summary = f"no fix over {points} targets ({int(res.failed_solves[idx])} failed solves)"

@@ -37,14 +37,11 @@ independent solution routes are implemented and cross-validated:
     both take candidate ranges as sqrt(dx^2 + dy^2) rather than a hypot.
 
 Both routes work about the gateway centroid, so a triangle far from the
-coordinate origin loses no precision, and both produce (up to) two
-algebraic candidates; the physical one is chosen by the smallest range
-residual, with a tie broken in favor of the candidate inside the gateway
-triangle. Past candidate generation the two scalar routes share one stage
-(``_select``): it scores their centroid-frame candidates with the batch
-route's residual and picks with the batch route's rule, sharing with the
-batch the tie tolerance (``_res_tie_tol``) and the containment test
-(:func:`lorafix.geometry.contains`).
+coordinate origin loses no precision, and both produce two algebraic
+candidates. One rule, written once for floats and arrays, keeps the
+physical one: ``_pick`` (t0 floor, then the smaller range residual) and, on
+a residual tie, ``_prefer`` (inside the triangle, then nearer its centroid).
+The scalar routes reach it through ``_select``, the batch row by row.
 """
 
 from __future__ import annotations
@@ -54,8 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .geometry import GatewayTriple, Position, contains, distance
+
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact by SI definition
 
 # Emission times earlier than this are rejected as ghost roots (unless that
 # would reject every candidate). Slightly negative values must survive: the
@@ -174,20 +172,46 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     return (r1, r2)
 
 
-def _select(cands, t, gws, frame):
-    """Score a scalar route's candidates and pick the physical fix.
+def _pick(res0, res1, t00, t01, tie_tol):
+    """(pick1, tie) for two candidates, on floats or arrays, residual inf if not finite.
 
-    ``cands`` holds up to two (x, y, t0) in root order, x and y about the
-    centroid of ``frame`` (from :func:`_centred_frame`); ``t`` holds the
-    arrival times. The scoring (1 ps t0 clamp, RMS range residual, drop if
-    not finite) and the pick (t0 floor unless it empties the pool, smallest
-    residual, near-ties toward the triangle's inside) follow the batch route
-    operation for operation. Raises NoRealRootError if no candidate is left.
+    A candidate with t0 above the floor and a finite residual beats one
+    without; else the smaller residual wins, an exact tie going to root 0.
+    ``tie`` marks residuals within ``tie_tol``; |inf - x| and inf - inf fail it.
+    """
+    p0 = (t00 >= DEFAULT_T0_FLOOR_S) & (res0 < math.inf)
+    p1 = (t01 >= DEFAULT_T0_FLOOR_S) & (res1 < math.inf)
+    same = p0 == p1
+    return (p1 > p0) | (same & (res1 < res0)), same & (abs(res1 - res0) < tie_tol)
+
+
+def _prefer(x0, y0, x1, y1, pick, gws, cx, cy):
+    """Settle a tie by the deployment prior, on floats or arrays, in the centroid frame.
+
+    Tied candidates both solve the system, so inside the triangle wins, then nearer
+    its centroid (for near-edge fixes noise pushed just outside); equal keys keep ``pick``.
+    """
+    in0 = contains(gws, (x0 + cx, y0 + cy))
+    in1 = contains(gws, (x1 + cx, y1 + cy))
+    sq0 = x0 * x0 + y0 * y0
+    sq1 = x1 * x1 + y1 * y1
+    better0 = (in0 > in1) | ((in0 == in1) & (sq0 < sq1))
+    better1 = (in1 > in0) | ((in0 == in1) & (sq1 < sq0))
+    return better1 | (pick & (better0 == better1))
+
+
+def _select(cands, t, gws, frame):
+    """Score a scalar route's two candidates and pick the fix.
+
+    ``cands`` holds two (x, y, t0) in root order, about the centroid of
+    ``frame`` (from :func:`_centred_frame`); ``t`` holds the arrival times.
+    The scoring (1 ps t0 clamp, RMS range residual) follows the batch route
+    operation for operation. Raises NoRealRootError if neither is finite.
     """
     c = SPEED_OF_LIGHT
     cx, cy, ga, gb = frame
     scored = []
-    for idx, (x, y, t0) in enumerate(cands):
+    for x, y, t0 in cands:
         if abs(t0) < _T0_CLAMP_S:
             t0 = 0.0
         s = 0.0
@@ -196,30 +220,17 @@ def _select(cands, t, gws, frame):
             r = math.sqrt(dx * dx + dy * dy) - c * (tj - t0)
             s += r * r
         res = math.sqrt(s / 3.0)
-        # Not finite whenever x, y or t0 is not, or a range overflows.
-        if math.isfinite(res):
-            scored.append((res, x, y, t0, idx))
-    if not scored:
+        # Not finite, so kept as inf, whenever x, y or t0 is not, or a range overflows.
+        scored.append((x, y, t0, res if res < math.inf else math.inf))
+    (x0, y0, t00, res0), (x1, y1, t01, res1) = scored
+    if res0 == res1 == math.inf:
         raise NoRealRootError("observation admits no real range solution")
-
-    passing = [s for s in scored if s[3] >= DEFAULT_T0_FLOOR_S] or scored
-    best = passing[0]
-    if len(passing) == 2:
-        other = passing[1]
-        if other[0] < best[0]:
-            best, other = other, best
-        # Tied candidates both solve the system exactly; fall back on the
-        # deployment prior: inside the triangle first, then nearer its
-        # centroid (covers near-edge fixes noise pushed just outside).
-        # math.hypot and the batch's np.hypot may differ by an ulp.
-        if other[0] - best[0] < _res_tie_tol(max(map(abs, t))):
-            key = [
-                (not contains(gws, Position(x + cx, y + cy)), math.hypot(x, y))
-                for _, x, y, _, _ in (best, other)
-            ]
-            if key[1] < key[0]:
-                best = other
-    res, x, y, t0, idx = best
+    pick, tie = _pick(res0, res1, t00, t01, _res_tie_tol(max(map(abs, t))))
+    if tie:
+        pick = _prefer(x0, y0, x1, y1, pick, gws, cx, cy)
+    # contains() gives numpy bools on numpy-float gateways.
+    idx = int(pick)
+    x, y, t0, res = scored[idx]
     return LocalizationEstimate(Position(x + cx, y + cy), t0, res, idx)
 
 
@@ -367,9 +378,8 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             + (xc-a1)^2 + (yc-b1)^2 = 0,
 
     solved with the same stable quadratic used by the analytic route. The
-    coefficients come from ``_closing_quadratic``, shared with
-    :func:`solve_closed_form`. Root selection (t0 floor, residual, tie
-    toward the triangle interior) matches the scalar solvers row for row.
+    coefficients come from ``_closing_quadratic`` and the pick from ``_pick``
+    and ``_prefer``, all shared with :func:`solve_closed_form`.
 
     The two candidates are stored candidate-major, as (2, n) arrays whose
     row k holds root k of every observation, so each elementwise pass runs
@@ -432,29 +442,16 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             ssq += r
         ssq /= 3.0
         res = np.sqrt(ssq, out=ssq)
-        bad_cand = ~np.isfinite(res)
-        res[bad_cand] = np.inf
+        # The residual is >= 0, so NaN is its only non-finite value besides inf.
+        res[np.isnan(res)] = np.inf
 
-        # t0 floor, ignored when it would reject both candidates.
-        passes = (t0 >= DEFAULT_T0_FLOOR_S) & ~bad_cand
-        any_pass = passes[0] | passes[1]
-        eff0, eff1 = np.where(passes | ~any_pass, res, np.inf)
-
-        pick = eff1 < eff0
         t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
-        tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
+        pick, tie = _pick(res[0], res[1], t0[0], t0[1], _res_tie_tol(t_max))
         rows = np.flatnonzero(tie)
         if rows.size:
-            # Same deployment prior as the scalar path: inside the triangle
-            # first, then nearer the centroid, which is the frame's origin.
             xt, yt = x[:, rows], y[:, rows]
-            in0, in1 = contains(gws, (xt + cx, yt + cy))
-            cd0, cd1 = np.hypot(xt, yt)
-            better1 = (in1 & ~in0) | ((in1 == in0) & (cd1 < cd0))
-            better0 = (in0 & ~in1) | ((in0 == in1) & (cd0 < cd1))
-            pick[rows] = np.where(better0, False, better1 | pick[rows])
-
-        sel_res = np.where(pick, eff1, eff0)
+            pick[rows] = _prefer(xt[0], yt[0], xt[1], yt[1], pick[rows], gws, cx, cy)
+        sel_res = np.where(pick, res[1], res[0])
         ok = np.isfinite(sel_res) & ~no_root
         nan = np.where(ok, 0.0, np.nan)
         return BatchSolveResult(
@@ -470,12 +467,9 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
 def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
     """Closed-form TDoA solve of a single observation, in Python floats.
 
-    Gives bit for bit the row :func:`solve_closed_form_batch` gives: the
-    coefficients come from the helper the batch solver calls on its columns,
-    the candidates are formed in the batch's frame and order of operations,
-    and ``_select``, which also serves :func:`solve_analytic`, scores them
-    with the batch's residual and picks with the batch's rule. A bitwise
-    test over off-origin triangles keeps the two routes together.
+    Gives bit for bit the row :func:`solve_closed_form_batch` gives: it
+    shares the batch's coefficient helper and selection rule, and forms and
+    scores its candidates in the batch's frame and order of operations.
 
     Raises
     ------

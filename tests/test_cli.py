@@ -290,6 +290,45 @@ class TestConfigTypes:
                 {"alpha": {"pl_caps": {"abc": 5}}},
                 'alpha.pl_caps must map integer bandwidths to caps, got {"abc": 5}',
             ),
+            # argparse's float() and json.load both parse nan and inf: a NaN
+            # anchor period once made sweep-emax summarize an arbitrary period
+            # and exit 0, and an integer beyond the float range ended in an
+            # OverflowError traceback.
+            (
+                ["sweep-emax", *SEEDED, "--points", "10", "--T-ns", "nan"],
+                {},
+                "counter.T_ns must be a finite number, got NaN",
+            ),
+            (
+                ["airtime", "--T-ns", "inf"],
+                {},
+                "counter.T_ns must be a finite number, got Infinity",
+            ),
+            (
+                ["airtime"],
+                {"counter": {"T_ns": float("nan")}},
+                "counter.T_ns must be a finite number, got NaN",
+            ),
+            (
+                ["sweep-emax", *SEEDED],
+                {"sweep": {"stop_ns": float("inf")}},
+                "sweep.stop_ns must be a finite number, got Infinity",
+            ),
+            (
+                ["solve"],
+                {"toa": [1e-4, float("-inf"), 1e-4]},
+                "toa[1] must be a finite number, got -Infinity",
+            ),
+            (
+                ["airtime"],
+                {"counter": {"T_ns": 10**400}},
+                f"counter.T_ns must be a finite number, got {10**400}",
+            ),
+            (
+                ["sweep-emax", "--seed", "-1", "--points", "10"],
+                {},
+                "seed must be a non-negative integer, got -1",
+            ),
         ],
     )
     def test_wrong_type_names_key_exit_1(self, tmp_path, argv, doc, message):

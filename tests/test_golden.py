@@ -8,6 +8,7 @@ one worker.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -55,6 +56,11 @@ GOLDEN_SUMMARY = [
     (NO_FIX_MAP, "5b9137cffbb26e27c61e3f8a27d09d80"),
 ]
 
+# At T >= 1 us the (-,-,-) pattern's true root has t0 = -T, below the t0
+# floor, so these periods pin the selectors' floor fallback.
+LATE_SWEEP = {"sweep": {"start_ns": 500, "stop_ns": 3000, "step_ns": 500}}
+LATE_SWEEP_DIGEST = "33a36389f33077b2cfcf70636e91c893"
+
 
 def _ids(cases):
     return [" ".join(a) for a, _ in cases]
@@ -79,3 +85,9 @@ def test_json_digest(capsys, argv, digest):
 @pytest.mark.parametrize("argv, digest", GOLDEN_SUMMARY, ids=_ids(GOLDEN_SUMMARY))
 def test_out_summary_digest(tmp_path, capsys, argv, digest):
     _check(capsys, [*argv, "--out", str(tmp_path / "table")], digest)
+
+
+def test_late_period_sweep_digest(tmp_path, capsys):
+    cfg = tmp_path / "late.json"
+    cfg.write_text(json.dumps(LATE_SWEEP))
+    _check(capsys, [*SMALL_SWEEP, "--config", str(cfg)], LATE_SWEEP_DIGEST)
