@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -62,6 +63,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -<digits>[.<digits>] as a negative number, and -4e1 or -inf as a flag.
+        self._negative_number_matcher = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+
     # argparse exits 2 on bad flags by default; 2 is reserved for domain errors.
     def error(self, message):
         self.exit(EXIT_CONFIG, f"error: {message}\n")

@@ -12,9 +12,9 @@ independent solution routes are implemented and cross-validated:
     Squares each arrival equation and writes the system as a single linear
     solve plus a scalar quadratic. With the augmented vectors
     w_j = (a_j, b_j, i*c*t_j) and p = (x, y, i*c*t0), each equation becomes
-    2 w_j . p = m_j + l where m_j = w_j . w_j and l = p . p. Gaussian
-    elimination yields p = (l*u + v)/2 with u = W^-1 1 and v = W^-1 m, and
-    substituting back into l = p . p gives
+    2 w_j . p = m_j + l where m_j = w_j . w_j and l = p . p. The cofactors
+    of W, a few products in Python floats, give p = (l*u + v)/2 with
+    u = W^-1 1 and v = W^-1 m, and substituting back into l = p . p gives
 
         (u.u) l^2 + (2 u.v - 4) l + (v.v) = 0.
 
@@ -282,8 +282,31 @@ def _closing_quadratic(t1, t2, t3, ga, gb):
     return xc, xl, yc, yl, qa, qb, qc
 
 
+def _augmented_solve(ga, gb, t):
+    """(u, v, t_min, radius) with A u = 1 and A v = m, by the adjugate of A, in
+    Python floats; A and m as in :func:`solve_analytic`. Cofactor row j is the
+    cross product of A's other two rows. Raises NoRealRootError if det A is 0."""
+    c = SPEED_OF_LIGHT
+    radius = max(map(math.hypot, ga, gb))
+    t_min = min(t)
+    (a1, a2, a3), (b1, b2, b3) = ga, gb
+    z1, z2, z3 = [c * (tj - t_min) + radius for tj in t]
+    c11, c12, c13 = b2 * z3 - z2 * b3, z2 * a3 - a2 * z3, a2 * b3 - b2 * a3
+    c21, c22, c23 = b3 * z1 - z3 * b1, z3 * a1 - a3 * z1, a3 * b1 - b3 * a1
+    c31, c32, c33 = b1 * z2 - z1 * b2, z1 * a2 - a1 * z2, a1 * b2 - b1 * a2
+    det = z1 * c13 + z2 * c23 + z3 * c33
+    if det == 0.0:
+        raise NoRealRootError("triangle area underflows")
+    m1, m2 = a1 * a1 + b1 * b1 - z1 * z1, a2 * a2 + b2 * b2 - z2 * z2
+    m3 = a3 * a3 + b3 * b3 - z3 * z3
+    u = ((c11 + c21 + c31) / det, (c12 + c22 + c32) / det, (c13 + c23 + c33) / det)
+    v = ((m1 * c11 + m2 * c21 + m3 * c31) / det, (m1 * c12 + m2 * c22 + m3 * c32) / det,
+         (m1 * c13 + m2 * c23 + m3 * c33) / det)
+    return u, v, t_min, radius
+
+
 def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
-    """Solve the three-gateway system by elimination on the augmented matrix.
+    """Solve the three-gateway system by the cofactors of the augmented matrix.
 
     Works about the gateway centroid (cx, cy) and a time origin s, because
     absolute coordinates and times lose precision when the origin lies far
@@ -292,7 +315,7 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     triangle radius R = max_j sqrt(a_j^2 + b_j^2) after it:
     s = min_j t_j - R/c. Builds the 3x3 matrix A with rows
     (a_j, b_j, c*(t_j - s)), solves A u = 1 and A v = m (m_j = a_j^2 + b_j^2
-    - c^2 (t_j - s)^2) by Gaussian elimination, and closes with the scalar
+    - c^2 (t_j - s)^2) by its adjugate, and closes with the scalar
     quadratic in l = (x-cx)^2 + (y-cy)^2 - c^2 (t0 - s)^2 using the
     indefinite inner product (see module docstring). The time column is
     formed as c*(t_j - min_j t_j) + R, so R survives however late the
@@ -302,35 +325,25 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
         t0 = s - (l*u3 + v3) / (2c),
 
     and ``_select`` scores them and picks the fix, as it does for
-    :func:`solve_closed_form`.
+    :func:`solve_closed_form`. No step calls numpy: on huge geometries the
+    floats overflow to non-finite candidates, which ``_select`` drops.
 
     The time column is then at least R in every row while the first two sum
-    to zero, so it never depends on them. Indeed A is singular only when the
-    triangle has no area: the cofactors of the time column all equal a third
-    of twice the triangle's signed area, so det A is that times the sum of
-    the time column. ``GatewayTriple`` rejects such triangles.
+    to zero, so in exact arithmetic its cofactors all equal a third of twice
+    the triangle's signed area, and det A is that times the column's sum: A
+    is singular only when the triangle, which ``GatewayTriple`` checks, has
+    no area.
 
     Raises
     ------
     NoRealRootError
-        If the closing quadratic has no real root beyond tolerance, or no
-        candidate has a finite residual.
+        If det A underflows to 0, the closing quadratic has no real root
+        beyond tolerance, or no candidate has a finite residual.
     """
     c = SPEED_OF_LIGHT
     t = (float(obs.t1), float(obs.t2), float(obs.t3))
     frame = _centred_frame(gws)
-    _, _, ga, gb = frame
-    radius = max(map(math.hypot, ga, gb))
-    t_min = min(t)
-    rows = [(a, b, c * (tj - t_min) + radius) for a, b, tj in zip(ga, gb, t)]
-    # On huge geometries this overflows to non-finite candidates, which
-    # ``_select`` drops; numpy need not warn about it. Past the LAPACK solve the
-    # route runs in Python floats, which never warn.
-    with np.errstate(all="ignore"):
-        uv_cols = np.linalg.solve(
-            np.array(rows), np.array([(1.0, a * a + b * b - z * z) for a, b, z in rows])
-        )
-    u, v = uv_cols.T.tolist()
+    u, v, t_min, radius = _augmented_solve(*frame[2:], t)
     # Indefinite inner products: the third coordinate carries the imaginary
     # unit, so its square enters with a minus sign.
     uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]

@@ -381,6 +381,49 @@ class TestOutOfRangeNumbers:
         assert r.stderr.strip().splitlines()[-1].startswith(last_line)
 
 
+def _exit_and_stderr(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own errors
+        code = e.code
+    return code, capsys.readouterr().err
+
+
+class TestNegativeNumbers:
+    # argparse takes only -<digits>[.<digits>] as a negative number, so float
+    # flags given -4e1 or -inf once exited with "expected one argument",
+    # naming no config key, where --T-ns=-4e1 reached the checks.
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-40", "period_s must be positive, got -4e-08"),
+            ("-4e1", "period_s must be positive, got -4e-08"),
+            ("-.5E+1", "period_s must be positive, got -5e-09"),
+            ("-1.e1", "period_s must be positive, got -1e-08"),
+            ("-inf", "counter.T_ns must be a finite number, got -Infinity"),
+            ("-Infinity", "counter.T_ns must be a finite number, got -Infinity"),
+            ("-nan", "counter.T_ns must be a finite number, got NaN"),
+        ],
+    )
+    def test_flag_value_meets_the_checks_in_both_forms(self, capsys, value, message):
+        for argv in (["airtime", "--T-ns", value], ["airtime", f"--T-ns={value}"]):
+            assert _exit_and_stderr(capsys, argv) == (1, f"error: {message}\n")
+
+    def test_negative_positionals_need_no_separator(self, capsys):
+        assert _exit_and_stderr(capsys, ["solve", "1e300", "-1e300", "0"]) == (
+            2,
+            "error: no-real-root: observation admits no real range solution\n",
+        )
+        assert main(["solve", "-1e-4", "-1e-4", "-1e-4"]) == 0
+        assert main(["solve", "1e-4", "1.1e-4", "1.2e-4", "--diameter-m", "-1e4"]) == 1
+        assert "circumdiameter must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-x", "-4e", "--inf"])
+    def test_non_numbers_stay_flags(self, capsys, value):
+        code, err = _exit_and_stderr(capsys, ["airtime", "--T-ns", value])
+        assert (code, err) == (1, "error: argument --T-ns: expected one argument\n")
+
+
 @pytest.mark.parametrize("error", [TypeError, KeyError])
 def test_programming_error_is_not_a_config_error(monkeypatch, error):
     # Exit 1 means a bad config or flag value; an error from the code itself propagates.

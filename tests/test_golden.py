@@ -29,7 +29,7 @@ GOLDEN = [
     (["dutycycle-grid"], "37b4dd0f7009d19dd39e216850e0fc47"),
     (["dutycycle-grid", "--n-bits", "30"], "68eb51c44911beba6cb88a15059c44d0"),
     (["airtime"], "9f4d9ebaa46ae28359c710653246d547"),
-    (SOLVE, "54bfaf3a8eda98fb6d8820bb885538e7"),
+    (SOLVE, "edeba78fbbb61111ebb88b4a140387ea"),
     ([*ERROR_MAP, "--workers", "1"], "529f43521b69c7122ff9856696f18927"),
     ([*ERROR_MAP, "--workers", "2"], "529f43521b69c7122ff9856696f18927"),
     ([*SWEEP, "--workers", "1"], "bbc9a86cab0d37341e831ba00af658f5"),
@@ -40,7 +40,7 @@ GOLDEN_JSON = [
     (["alpha-bounds"], "46b5c81f6e064698f0f3020d26ac9219"),
     (["dutycycle-grid"], "42ba74b746b6529dfd9a981683b345bc"),
     (["airtime"], "94c757e28e9ec8df6a7a5cfa6d19c2f0"),
-    (SOLVE, "528dcb73d28e9044ee9ffba31b4848bc"),
+    (SOLVE, "47760d09f733ea7a67a3f11f5eb5b525"),
     (SMALL_MAP, "dde139837f99a8197a22ecb5cc06e40e"),
     (SMALL_SWEEP, "4456bea10550d3b3888a04080277c70d"),
 ]
@@ -50,7 +50,7 @@ GOLDEN_SUMMARY = [
     (["alpha-bounds"], "10cdbd76d21f559b6335f8583898fa75"),
     (["dutycycle-grid"], "53ee7caef4d4725cbe3a82559dbc560b"),
     (["airtime"], "be9102f0c1f5b4bf2f18cfa31a4d73fd"),
-    (SOLVE, "1a72601884c307920fe781db91a270c0"),
+    (SOLVE, "1977ac223bbcf3a4241a53d324a5a058"),
     (SMALL_MAP, "094b9929d320718e1cf7e3f8768ca9f6"),
     (SMALL_SWEEP, "778b247db417263e2804e9ec23d1cc27"),
     (NO_FIX_MAP, "5b9137cffbb26e27c61e3f8a27d09d80"),
