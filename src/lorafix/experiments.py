@@ -29,7 +29,6 @@ for any worker count.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +39,8 @@ import numpy as np
 from .counter import CounterConfig, quantize
 from .error_model import SIGN_PATTERNS, ErrorModelParams, sample_error
 from .geometry import GatewayTriple, canonical_triangle, sample_points_in_triangle
-from .lora_phy import RadioParams, duty_cycle, low_dr_opt_auto, time_on_air
+from .lora_phy import RadioParams, duty_cycle, low_dr_opt_auto, preamble_duration, symbol_duration
+from .lora_phy import symbol_terms, time_on_air
 from .solver import forward_toa_batch, solve_closed_form_batch
 
 
@@ -301,47 +301,47 @@ def alpha_bounds(
     order, attaining them. A sync period
     must be at least the longest packet and gains nothing below the
     shortest, so [tau_min, tau_max] brackets the design.
-    Raises ValueError when the cross product is empty.
+    Raises ValueError when the cross product is empty, and on invalid input
+    RadioParams' ValueError for the field the full sweep would name first.
     """
     caps = DEFAULT_PL_CAPS if pl_caps is None else pl_caps
 
     def params(bw, cr, pl, de):
-        return RadioParams(
-            sf=sf,
-            bw_hz=bw,
-            cr=cr,
-            payload_len=pl,
-            n_preamble=n_preamble,
-            header_disabled=0,
-            low_dr_opt=de,
-        )
+        return RadioParams(sf, bw, cr, pl, n_preamble, 0, de)
 
     # Airtime never decreases with the payload length, so per (bw, cr) the
     # sweep's first minimum is at pl = 1 and its first maximum is the first
-    # payload on the top plateau, found by bisection. Merging those in sweep
-    # order with strict comparisons gives the full sweep's result.
-    best_min = None
-    best_max = None
+    # payload on the top plateau: the smallest pl whose ceiling term reaches
+    # the cap's, ceil(num / den) = k, i.e. 8 * (cap - pl) < num - (k - 1) * den.
+    # Durations are formed as time_on_air forms them, so merging the groups in
+    # sweep order with strict comparisons gives the full sweep's result.
+    # RadioParams checks each coding rate and each cap once, in sweep order.
+    best_min = best_max = None
     for bw in sorted(caps):
         de = low_dr_opt_auto(sf, bw)
-        payloads = range(1, caps[bw] + 1)
-        if not payloads:
+        cap = caps[bw]
+        if not range(1, cap + 1):  # a non-integer cap raises TypeError here
             continue
-        for cr in cr_range:
-            p = params(bw, cr, 1, de)
-            tau = time_on_air(p)
+        check_crs = best_min is None
+        for i, cr in enumerate(cr_range):
+            if check_crs:
+                params(bw, cr, 1, de)
+            if i == 0:
+                p = params(bw, cr, cap, de)
+                t_sym, t_pre = symbol_duration(p), preamble_duration(p)
+            n_1 = symbol_terms(sf, cr, 1, 0, de)[0]
+            n_top, num, den = symbol_terms(sf, cr, cap, 0, de)
+            tau = t_pre + n_1 * t_sym
             if best_min is None or tau < best_min[0]:
-                best_min = (tau, p)
-            top = time_on_air(params(bw, cr, payloads[-1], de))
-            if best_max is None or top > best_max[0]:
-                first = bisect.bisect_left(
-                    payloads, top, key=lambda pl: time_on_air(params(bw, cr, pl, de))
-                )
-                best_max = (top, params(bw, cr, payloads[first], de))
+                best_min = (tau, bw, cr, 1, de)
+            tau = t_pre + n_top * t_sym
+            if best_max is None or tau > best_max[0]:
+                best_max = (tau, bw, cr, 1 if n_top == n_1 else cap - (num - 1) % den // 8, de)
     if best_min is None:
         raise ValueError(
             "alpha_bounds: the bandwidth x coding-rate x payload cross product is empty"
         )
+    argmin, argmax = params(*best_min[1:]), params(*best_max[1:])
     return AlphaBounds(
-        tau_min_s=best_min[0], tau_max_s=best_max[0], argmin=best_min[1], argmax=best_max[1]
+        tau_min_s=time_on_air(argmin), tau_max_s=time_on_air(argmax), argmin=argmin, argmax=argmax
     )

@@ -91,18 +91,19 @@ def preamble_duration(params: RadioParams) -> float:
 
 def payload_symbol_count(params: RadioParams) -> int:
     """Number of payload (plus header) symbols in the packet."""
-    num = (
-        8 * params.payload_len
-        - 4 * params.sf
-        + 28
-        + 16  # payload CRC, always present
-        - 20 * params.header_disabled
-    )
-    den = 4 * (params.sf - 2 * params.low_dr_opt)
+    return symbol_terms(
+        params.sf, params.cr, params.payload_len, params.header_disabled, params.low_dr_opt
+    )[0]
+
+
+def symbol_terms(sf, cr, payload_len, header_disabled, low_dr_opt) -> tuple[int, int, int]:
+    """(N_payload, num, den) of the airtime formula, with N_payload = 8 +
+    max(ceil(num / den) * (cr + 4), 0), on unvalidated integer fields."""
+    num = 8 * payload_len - 4 * sf + 28 + 16 - 20 * header_disabled  # +16: payload CRC
+    den = 4 * (sf - 2 * low_dr_opt)
     # Exact integer ceiling division: floating ceil misbehaves at exact
     # multiples, and num may be negative.
-    ceil_term = -(-num // den)
-    return 8 + max(ceil_term * (params.cr + 4), 0)
+    return 8 + max(-(-num // den) * (cr + 4), 0), num, den
 
 
 def time_on_air(params: RadioParams) -> float:

@@ -70,20 +70,19 @@ _NEG_DISC_RTOL = 1e-9
 # Residuals closer than the tie tolerance trigger the inside-the-triangle
 # rule. Both algebraic roots solve the squared system exactly whenever the
 # hyperbolas truly intersect twice, so their residuals are pure rounding
-# noise.  That noise comes from cancellation among terms of size (c*t)^2 and
-# so grows quadratically with the time scale of the observation (measured:
-# ~7e-9 m at c*t ~ 3e4 m, ~4e-7 m at 3e5 m, ~5e-5 m at 3e6 m), while any
-# informative residual gap — a root that fails the sign conditions — is
-# meters to kilometers.  A quadratic scale term keeps the tie window two
-# orders of magnitude above the noise floor and several below real gaps.
+# noise. Both routes form ranges relative to the arrivals, so the noise comes
+# from the rounding of the timestamps and grows linearly with c * t_max (on
+# 20k noisy rows of the 10 km triangle the largest true-root residual was
+# 3.3e-8 m at t_max = 1 s and 4.3e-6 m at 171 s), while a root that fails the
+# sign conditions is off by meters to kilometers. The window adds 1024 * eps
+# relative to c * t_max, 6.8e-5 m at 1 s and 1.2e-2 m at 171 s; 64 * eps would
+# change the 20k-point sweep digests.
 _RES_TIE_M = 1e-9
-_RES_TIE_QUAD_PER_M = 1e-15
+_RES_TIE_REL = 1024 * 2.0**-52
 
 
 def _res_tie_tol(t_max_s):
-    d = SPEED_OF_LIGHT * t_max_s
-    # A float ** raises OverflowError where * gives inf.
-    return _RES_TIE_M + _RES_TIE_QUAD_PER_M * (d * d)
+    return _RES_TIE_M + _RES_TIE_REL * (SPEED_OF_LIGHT * t_max_s)
 
 
 class NoRealRootError(ValueError):
@@ -177,7 +176,10 @@ def _pick(res0, res1, t00, t01, tie_tol):
 
     A candidate with t0 above the floor and a finite residual beats one
     without; else the smaller residual wins, an exact tie going to root 0.
-    ``tie`` marks residuals within ``tie_tol``; |inf - x| and inf - inf fail it.
+    ``tie`` marks residuals within ``tie_tol``, which both selectors take from
+    ``_res_tie_tol``: 1 nm plus 1024 * eps of c * t_max, linear in the latest
+    arrival so that a late emission does not widen it into a tie on every row;
+    |inf - x| and inf - inf fail it.
     """
     p0 = (t00 >= DEFAULT_T0_FLOOR_S) & (res0 < math.inf)
     p1 = (t01 >= DEFAULT_T0_FLOOR_S) & (res1 < math.inf)

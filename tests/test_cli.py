@@ -99,6 +99,16 @@ class TestSolve:
         assert "no-real-root" in r.stderr
         assert r.stdout == ""
 
+    def test_late_emission_keeps_the_true_root(self):
+        # Emitted 100 s after the sync, inside the 32-bit, 40 ns counter's span;
+        # the other root lies at (-1419.224, 630.321) m with a 1.047e4 m residual.
+        r = run_cli("solve", "100.00001500735297", "100.0000142091908", "100.00002283545176")
+        assert r.returncode == 0, r.stderr
+        x, y, t0, residual, root = map(float, r.stdout.strip().splitlines()[1].split(","))
+        assert (x, y) == (pytest.approx(1658.169, abs=1e-3), pytest.approx(-817.621, abs=1e-3))
+        assert t0 == pytest.approx(100.0, abs=1e-9)
+        assert residual < 1e-5
+
     def test_wrong_arity_exit_1(self):
         r = run_cli("solve", "1e-5", "2e-5")
         assert r.returncode == 1

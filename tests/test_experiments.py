@@ -22,6 +22,7 @@ from lorafix import (
     solve_closed_form_batch,
     sweep_emax,
 )
+from lorafix import experiments
 from lorafix.error_model import SIGN_PATTERNS
 from lorafix.experiments import _KERNEL_ROWS, _chunk_slices, _map_chunk, _t_grid
 from lorafix.lora_phy import VALID_BW_HZ, RadioParams, low_dr_opt_auto, time_on_air
@@ -308,7 +309,50 @@ class TestAlphaBounds:
                 cr_range=tuple(int(cr) for cr in rng.permutation(4)[: rng.integers(1, 5)] + 1),
                 n_preamble=int(rng.integers(1, 21)),
             )
-            assert alpha_bounds(**kwargs) == _swept_alpha_bounds(**kwargs), kwargs
+            res = alpha_bounds(**kwargs)
+            assert res == _swept_alpha_bounds(**kwargs), kwargs
+            assert res.tau_min_s == time_on_air(res.argmin)
+            assert res.tau_max_s == time_on_air(res.argmax)
+
+    def test_at_most_two_airtime_calls_per_query(self, monkeypatch):
+        # The extremes come from integer symbol counts; the public formula is
+        # evaluated once for each configuration returned.
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return time_on_air(params)
+
+        monkeypatch.setattr(experiments, "time_on_air", counted)
+        for sf in range(7, 13):
+            for caps in (None, {125000: 255}, {250000: 1, 500000: 200}):
+                calls.clear()
+                alpha_bounds(sf=sf, pl_caps=caps)
+                assert len(calls) <= 2, (sf, caps)
+
+    # Per bandwidth in order, the full sweep checks sf and the bandwidth, then
+    # each coding rate at pl = 1, which names a bad preamble before a bad cap,
+    # then the cap; the first failing check names its field.
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sf": 13}, "sf must be in 7..12, got 13"),
+            ({"pl_caps": {125000: 51, 200000: 51}}, f"bw_hz must be one of {VALID_BW_HZ}, got 200000"),
+            ({"pl_caps": {125000: 300}}, "payload_len must be in 0..255, got 300"),
+            ({"cr_range": (1, 5)}, "cr must be in 1..4, got 5"),
+            ({"n_preamble": 0}, "n_preamble must be >= 1, got 0"),
+            ({"pl_caps": {125000: 300}, "cr_range": (5, 1)}, "cr must be in 1..4, got 5"),
+            ({"pl_caps": {125000: 300}, "cr_range": (1, 5)}, "payload_len must be in 0..255, got 300"),
+            ({"pl_caps": {125000: 300}, "n_preamble": 0}, "n_preamble must be >= 1, got 0"),
+            ({"pl_caps": {125000: 51, 250000: 300}}, "payload_len must be in 0..255, got 300"),
+            ({"pl_caps": {125000: 51, 250000: 300}, "cr_range": (2, 9)}, "cr must be in 1..4, got 9"),
+            ({"sf": 6, "pl_caps": {125000: 0, 250000: 5}}, "sf must be in 7..12, got 6"),
+        ],
+    )
+    def test_invalid_input_names_the_sweeps_first_bad_field(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            alpha_bounds(**kwargs)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "kwargs", [{"cr_range": range(4, 2)}, {"pl_caps": {}}, {"pl_caps": {125000: 0}}]

@@ -17,6 +17,8 @@ from lorafix.cli import main
 SOLVE = ["solve", "1.1864679979e-4", "1.1295747147e-4", "1.1898980542e-4"]  # README line
 ERROR_MAP = ["error-map", "--seed", "3"]
 SWEEP = ["sweep-emax", "--seed", "7", "--points", "20000"]
+# SF 7 runs without the low-data-rate flag, so its symbol counts differ from SF 12's.
+ALPHA_SF7 = ["alpha-bounds", "--sf", "7"]
 SMALL_MAP = [*ERROR_MAP, "--points", "200", "--workers", "1"]
 SMALL_SWEEP = ["sweep-emax", "--seed", "7", "--points", "2000", "--workers", "1"]
 # At 1 cm every solve fails, so the summary takes its "no fix" branch.
@@ -26,6 +28,7 @@ NO_FIX_MAP = [
 
 GOLDEN = [
     (["alpha-bounds"], "f496449f1501207f55a4dabe938208ca"),
+    (ALPHA_SF7, "603dcc4bc62d85607ce9865de82ab2dd"),
     (["dutycycle-grid"], "37b4dd0f7009d19dd39e216850e0fc47"),
     (["dutycycle-grid", "--n-bits", "30"], "68eb51c44911beba6cb88a15059c44d0"),
     (["airtime"], "9f4d9ebaa46ae28359c710653246d547"),
@@ -38,6 +41,7 @@ GOLDEN = [
 
 GOLDEN_JSON = [
     (["alpha-bounds"], "46b5c81f6e064698f0f3020d26ac9219"),
+    (ALPHA_SF7, "8e0b9d3a222832bc72ee08b323348c0d"),
     (["dutycycle-grid"], "42ba74b746b6529dfd9a981683b345bc"),
     (["airtime"], "94c757e28e9ec8df6a7a5cfa6d19c2f0"),
     (SOLVE, "47760d09f733ea7a67a3f11f5eb5b525"),
@@ -48,6 +52,7 @@ GOLDEN_JSON = [
 # With --out the table goes to the file and stdout holds the summary line.
 GOLDEN_SUMMARY = [
     (["alpha-bounds"], "10cdbd76d21f559b6335f8583898fa75"),
+    (ALPHA_SF7, "6a864476262c5267443d835c7f52ac11"),
     (["dutycycle-grid"], "53ee7caef4d4725cbe3a82559dbc560b"),
     (["airtime"], "be9102f0c1f5b4bf2f18cfa31a4d73fd"),
     (SOLVE, "1977ac223bbcf3a4241a53d324a5a058"),

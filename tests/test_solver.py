@@ -490,6 +490,60 @@ class TestSelectionRule:
         assert got.tolist() == list(want)
 
 
+def _route_fixes(toas):
+    """{route: ((n, 3) x, y, root_index with NaN for no fix, (n,) ok)} on TRI."""
+    out = {}
+    for route in (solve_analytic, solve_closed_form):
+        fixes, ok = np.full((len(toas), 3), np.nan), np.zeros(len(toas), bool)
+        for i, row in enumerate(toas.tolist()):
+            try:
+                est = route(ToAObservation(*row), TRI)
+            except NoRealRootError:
+                continue
+            fixes[i], ok[i] = (est.pos.x, est.pos.y, est.root_index), True
+        out[route.__name__] = fixes, ok
+    res = solve_closed_form_batch(toas, TRI)
+    out["batch"] = np.column_stack([res.x, res.y, np.where(res.ok, res.root_index, np.nan)]), res.ok
+    return out
+
+
+class TestLateEmission:
+    """Picks do not depend on how long after the sync the packet was sent.
+
+    Every row's emission is shifted by up to 171 s, inside the 171.8 s span of
+    the 32-bit, 40 ns counter. Both routes work relative to the arrivals, so
+    the shift only rounds each arrival by at most ulp(s) (the rows' arrivals
+    are far below s), c * ulp(s) of range; inside the canonical triangle a
+    fix moves by about that much (measured: at most 0.9 c * ulp(s), and
+    3.5 at 1 ms, where the solvers' own rounding at the 10 km scale is as
+    large), against metres to kilometres for the other root. The rows with one arrival
+    moved by microseconds lie far outside the triangle, where rounding is
+    amplified, and at s = 0 the absolute t0 floor rather than the residual
+    decides some of them; they pin the verdicts and the root picked instead.
+    """
+
+    SHIFTS_S = (1e-3, 1.0, 100.0, 171.0)
+
+    def test_shifted_emissions_keep_verdicts_and_fixes(self):
+        rng = np.random.default_rng(2210)
+        toas = forward_toa_batch(_random_interior(600, 2211), TRI)
+        toas += rng.uniform(-40e-9, 40e-9, toas.shape)
+        far = np.arange(len(toas)) % 3 == 0
+        toas[far, 0] += rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(1e-6, 2e-5, far.sum())
+        base = _route_fixes(toas)
+        early = _route_fixes(toas + self.SHIFTS_S[0])
+        for shift in self.SHIFTS_S:
+            tol = 16.0 * SPEED_OF_LIGHT * math.ulp(shift)
+            for route, (fixes, ok) in _route_fixes(toas + shift).items():
+                fixes0, ok0 = base[route]
+                assert np.array_equal(ok, ok0), (route, shift)
+                near = ok & ~far
+                gap = np.hypot(*(fixes[near, :2] - fixes0[near, :2]).T)
+                assert gap.max() <= tol, (route, shift, gap.max())
+                assert np.array_equal(fixes[ok & far, 2], early[route][0][ok & far, 2])
+        assert 0 < (~ok0).sum() < far.sum()  # some far rows have no real root
+
+
 class TestInvariances:
     def test_translation_equivariance(self):
         rng = np.random.default_rng(83)
