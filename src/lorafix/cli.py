@@ -230,14 +230,38 @@ def _json_cell(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _render(cols, rows, fmt: str) -> str:
+def _python_cells(r) -> list:
     # numpy scalars become their Python twins, so each cell is a bool, int, float or str.
-    rows = [[v.item() if isinstance(v, np.generic) else v for v in r] for r in rows]
+    return [v.item() if isinstance(v, np.generic) else v for v in r]
+
+
+# printf conversions that write a cell of exactly this type as _csv_cell does.
+_CSV_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
+
+
+def _csv_lines(rows):
+    # One row template per tuple of cell types; a row with any other cell type
+    # (a bool, a numpy scalar) goes through _csv_cell.
+    templates = {}
+    for r in rows:
+        types = tuple(map(type, r))
+        if types not in templates:
+            conv = [_CSV_CONVERSIONS.get(t) for t in types]
+            templates[types] = None if None in conv else ",".join(conv)
+        template = templates[types]
+        if template is None:
+            yield ",".join(_csv_cell(v) for v in _python_cells(r))
+        else:
+            yield template % tuple(r)
+
+
+def _render(cols, rows, fmt: str) -> str:
     if fmt == "json":
-        doc = {"columns": list(cols), "rows": [[_json_cell(v) for v in r] for r in rows]}
+        cells = [[_json_cell(v) for v in _python_cells(r)] for r in rows]
+        doc = {"columns": list(cols), "rows": cells}
         return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     lines = [",".join(cols)]
-    lines.extend(",".join(_csv_cell(v) for v in r) for r in rows)
+    lines.extend(_csv_lines(rows))
     return "\n".join(lines) + "\n"
 
 

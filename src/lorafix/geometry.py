@@ -157,4 +157,10 @@ def sample_points_in_triangle(
         # Strict interiority: u, v and 1-u-v must all be positive.
         todo = todo[(uu <= 0.0) | (vv <= 0.0) | (uu + vv >= 1.0)]
     g = triple.as_array()
-    return g[0] + u[:, None] * (g[1] - g[0]) + v[:, None] * (g[2] - g[0])
+    e1, e2 = g[1] - g[0], g[2] - g[0]
+    # One coordinate at a time: g0 + u*e1 + v*e2 per element, without the
+    # (n, 2) broadcasts.
+    out = np.empty((n, 2))
+    for j in (0, 1):
+        out[:, j] = g[0, j] + u * e1[j] + v * e2[j]
+    return out

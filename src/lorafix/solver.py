@@ -146,9 +146,11 @@ def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.nd
     t0 = np.asarray(t0_s, dtype=float)
     if np.any(t0 < 0):
         raise ValueError("emission times must be non-negative")
-    g = gws.as_array()
-    d = np.hypot(pts[:, None, 0] - g[None, :, 0], pts[:, None, 1] - g[None, :, 1])
-    return (t0[:, None] if t0.ndim == 1 else t0) + d / SPEED_OF_LIGHT
+    x, y = pts[:, 0], pts[:, 1]
+    out = np.empty((pts.shape[0], 3))
+    for j, (a, b) in enumerate(gws.as_array()):  # one gateway column at a time
+        out[:, j] = t0 + np.hypot(x - a, y - b) / SPEED_OF_LIGHT
+    return out
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
@@ -398,9 +400,12 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
 
     The two candidates are stored candidate-major, as (2, n) arrays whose
     row k holds root k of every observation, so each elementwise pass runs
-    over n contiguous values. Candidate ranges are sqrt(dx^2 + dy^2), which
-    is several times cheaper than ``np.hypot``; it can only overflow beyond
-    1e154 m, and it is non-finite exactly where the candidate is.
+    over n contiguous values. The rows may come in any layout; the ``.T``
+    view of a (3, n) array, which the worst-case kernel passes, makes each
+    gateway's column contiguous too, and gives the same bits. Candidate
+    ranges are sqrt(dx^2 + dy^2), which is several times cheaper than
+    ``np.hypot``; it can only overflow beyond 1e154 m, and it is non-finite
+    exactly where the candidate is.
 
     Parameters
     ----------
@@ -420,31 +425,43 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         raise ValueError(f"toas must have shape (n, 3), got {t.shape}")
     cx, cy, ga, gb = _centred_frame(gws)
     # Rows with no real root, or huge geometries, overflow or divide by zero
-    # into non-finite values, which the verdicts below handle.
+    # into non-finite values, which the verdicts below handle. The passes reuse
+    # buffers (out=, in-place operators) but give every element the operations
+    # of the plain expressions, in their order: 4*qa*qc,
+    # -(rtol*max(qb^2, |4*qa*qc|)), -0.5*(qb + copysign(sqrt(disc), qb)),
+    # xc + xl*d1, t1 - d1/c and c*(tj - t0).
     with np.errstate(all="ignore"):
         xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(t[:, 0], t[:, 1], t[:, 2], ga, gb)
         qb2 = qb * qb
-        qac4 = 4.0 * qa * qc
+        qac4 = np.multiply(4.0, qa)
+        qac4 *= qc
         disc = qb2 - qac4
-        graze_tol = _NEG_DISC_RTOL * np.maximum(qb2, np.abs(qac4))
-        no_root = disc < -graze_tol
-        disc = np.where(disc < 0.0, 0.0, disc)
-        sq = np.sqrt(disc)
-        q = -0.5 * (qb + np.copysign(sq, qb))
+        neg_tol = np.abs(qac4, out=qac4)
+        np.maximum(qb2, neg_tol, out=neg_tol)
+        neg_tol *= _NEG_DISC_RTOL
+        no_root = disc < np.negative(neg_tol, out=neg_tol)
+        disc[disc < 0.0] = 0.0
+        q = np.sqrt(disc, out=disc)
+        np.copysign(q, qb, out=q)
+        np.add(qb, q, out=q)
+        q *= -0.5
         d1 = np.empty((2, t.shape[0]))
         np.divide(q, qa, out=d1[0])
         np.divide(qc, q, out=d1[1])
 
-        x = xc + xl * d1
-        y = yc + yl * d1
-        t0 = t[:, 0] - d1 / c
+        x = np.multiply(xl, d1)
+        np.add(xc, x, out=x)
+        y = np.multiply(yl, d1)
+        np.add(yc, y, out=y)
+        t0 = np.divide(d1, c)
+        np.subtract(t[:, 0], t0, out=t0)
         t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
 
         # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
         # is, so it alone marks the bad candidates.
         ssq = np.zeros_like(d1)
         r = np.empty_like(d1)
-        dy = np.empty_like(d1)
+        dy = d1  # d1 is spent; its buffer takes the y and range-difference terms
         for aj, bj, tj in zip(ga, gb, t.T):
             np.subtract(x, aj, out=r)
             r *= r
@@ -452,7 +469,9 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             dy *= dy
             r += dy
             np.sqrt(r, out=r)
-            r -= c * (tj - t0)
+            np.subtract(tj, t0, out=dy)
+            dy *= c
+            r -= dy
             r *= r
             ssq += r
         ssq /= 3.0
@@ -460,7 +479,9 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         # The residual is >= 0, so NaN is its only non-finite value besides inf.
         res[np.isnan(res)] = np.inf
 
-        t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
+        t_max = np.abs(t[:, 0])
+        np.maximum(t_max, np.abs(t[:, 1]), out=t_max)
+        np.maximum(t_max, np.abs(t[:, 2]), out=t_max)
         pick, tie = _pick(res[0], res[1], t0[0], t0[1], _res_tie_tol(t_max))
         rows = np.flatnonzero(tie)
         if rows.size:
@@ -469,14 +490,13 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         sel_res = np.where(pick, res[1], res[0])
         ok = np.isfinite(sel_res) & ~no_root
         nan = np.where(ok, 0.0, np.nan)
-        return BatchSolveResult(
-            x=np.where(pick, x[1], x[0]) + cx + nan,
-            y=np.where(pick, y[1], y[0]) + cy + nan,
-            t0_s=np.where(pick, t0[1], t0[0]) + nan,
-            residual_m=sel_res + nan,
-            root_index=pick.astype(np.int8),
-            ok=ok,
-        )
+        out_x, out_y, out_t0 = (np.where(pick, a[1], a[0]) for a in (x, y, t0))
+        out_x += cx
+        out_y += cy
+        for a in (out_x, out_y, out_t0, sel_res):
+            a += nan
+        root_index = pick.astype(np.int8)
+        return BatchSolveResult(out_x, out_y, out_t0, sel_res, root_index, ok)
 
 
 def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lorafix import Position, canonical_triangle, cli, forward_toa
@@ -548,6 +549,49 @@ class TestStrictJson:
     def test_csv_keeps_nan(self):
         text = _render(["T_s", "e_max_m"], [[4e-8, float("nan")]], "csv")
         assert text == "T_s,e_max_m\n4.0000000000000001e-08,nan\n"
+
+
+class TestCsvRender:
+    """``_render``'s CSV bytes equal the per-cell ``_csv_cell`` join."""
+
+    @staticmethod
+    def _per_cell(cols, rows):
+        lines = [",".join(cols)]
+        for r in rows:
+            cells = [v.item() if isinstance(v, np.generic) else v for v in r]
+            lines.append(",".join(cli._csv_cell(v) for v in cells))
+        return "\n".join(lines) + "\n"
+
+    ROWS = [
+        [float("nan"), float("inf"), -0.0, 0.1, 7, "a"],
+        [-float("inf"), 1e-300, 5e-324, 1.7976931348623157e308, 2**70, "50% b"],
+        [np.float64(0.1), np.float32(0.1), np.int64(-(2**63)), np.int8(-3), np.uint64(2**64 - 1),
+         np.str_("c")],
+        [True, np.bool_(False), -0.0, 0.5, -(2**80), ""],
+        # Column 4 changes type from row to row: int, float, bool, str, numpy int.
+        [1.5, 2.5, 3.5, 4.5, 1.0, "d"],
+        [1.5, 2.5, 3.5, 4.5, False, "e"],
+        [1.5, 2.5, 3.5, 4.5, "f", "g"],
+        [1.5, 2.5, 3.5, 4.5, np.int32(9), "h"],
+        [1.5, 2.5, 3.5, 4.5, 7, "i"],
+    ]
+
+    def test_mixed_cells_match_per_cell_join(self):
+        cols = ["a", "b", "c", "d", "e", "f"]
+        assert _render(cols, self.ROWS, "csv") == self._per_cell(cols, self.ROWS)
+
+    def test_row_iterators_and_tuples(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        x[::17] = np.nan
+        n = rng.integers(-(2**62), 2**62, 200)
+        cols = ["x", "n", "s"]
+        want = self._per_cell(cols, zip(x.tolist(), n.tolist(), ["s"] * 200))
+        assert _render(cols, zip(x.tolist(), n.tolist(), ["s"] * 200), "csv") == want
+        assert _render(cols, list(zip(x, n, ["s"] * 200)), "csv") == want
+
+    def test_empty_table(self):
+        assert _render(["a", "b"], [], "csv") == "a,b\n"
 
 
 class TestSeedResolution:

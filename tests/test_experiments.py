@@ -95,7 +95,7 @@ def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
 @pytest.mark.parametrize(
     "diameter_m, n, n_sets",
     [
-        (10000.0, 300, 4),  # 128-target blocks, the last one partial
+        (10000.0, 300, 4),  # 256-target blocks, the last one partial
         (10000.0, 5, _KERNEL_ROWS // 8 + 1),  # one target's 8 K rows exceed a block
         (0.01, 200, 3),  # a 1 cm cell, where solves fail
     ],

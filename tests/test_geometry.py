@@ -184,6 +184,25 @@ class TestSampling:
         assert rng.sizes == [3, 3, 2, 2]
         assert pts.tolist() == [[0.1, 0.2], [1.0 - 0.9, 1.0 - 0.3], [0.6, 0.2]]
 
+    def test_matches_broadcast_formula(self):
+        """Column by column, the points are the bits of the (n, 2) broadcast
+        g1 + u (g2 - g1) + v (g3 - g1) over the same folded draws."""
+        far = GatewayTriple(
+            Position(3e4, -2e4), Position(3.07e4, -1.98e4), Position(3.01e4, -1.93e4)
+        )
+        for tri in (canonical_triangle(10000.0), far):
+            g = tri.as_array()
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                u, v = rng.random(5000), rng.random(5000)
+                fold = u + v > 1.0
+                u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
+                assert np.all((u > 0.0) & (v > 0.0) & (u + v < 1.0))  # no redraw
+                want = g[0] + u[:, None] * (g[1] - g[0]) + v[:, None] * (g[2] - g[0])
+                got = sample_points_in_triangle(tri, 5000, np.random.default_rng(seed))
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
+
     def test_mean_approaches_centroid(self):
         tri = canonical_triangle(10000.0)
         pts = sample_points_in_triangle(tri, 100000, np.random.default_rng(33))

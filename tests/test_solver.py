@@ -182,6 +182,22 @@ class TestForwardModel:
             obs = forward_toa(Position(*pts[i]), TRI, float(t0s[i]))
             assert np.array_equal(batch[i], [obs.t1, obs.t2, obs.t3])
 
+    def test_batch_matches_broadcast_formula(self):
+        """Column by column, the batch gives the bits of the (n, 3) broadcast
+        t0 + hypot(dx, dy) / c, with a scalar and a per-point t0."""
+        c = SPEED_OF_LIGHT
+        rng = np.random.default_rng(2502)
+        for gws in (TRI, _triple(_random_triangle(rng, 300.0, 15.0) + 4e4)):
+            g = gws.as_array()
+            for seed in range(5):
+                pts = sample_points_in_triangle(gws, 2000, np.random.default_rng(seed)) * 1.5
+                d = np.hypot(pts[:, None, 0] - g[None, :, 0], pts[:, None, 1] - g[None, :, 1])
+                t0s = rng.uniform(0.0, 171.0, 2000)
+                for t0, want in ((0.25, 0.25 + d / c), (t0s, t0s[:, None] + d / c)):
+                    got = forward_toa_batch(pts, gws, t0)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, want)
+
 
 def test_toa_observation_validation():
     with pytest.raises(ValueError):
@@ -376,6 +392,38 @@ class TestBatchSolver:
         assert checked + rootless == 20_400
         assert np_ties >= 20
         assert 2_000 < rootless < 10_000
+
+    def test_column_major_view_gives_the_same_bits(self):
+        """A (3, n) array's ``.T`` view, the layout the worst-case kernel passes,
+        gives every output bit of the same rows C-ordered: NaN placement, signs
+        and NaN payloads included. Rows on the canonical triangle, a 1 cm cell
+        and a triangle 80 sizes from the origin, emitted up to 171 s after the
+        sync, a third of them perturbed by up to 10 light-times of the
+        triangle, so rootless."""
+        rng = np.random.default_rng(2501)
+        far = _random_triangle(rng, 500.0, 15.0) + 80.0 * 500.0 * np.array([0.6, -0.8])
+        checked = rootless = 0
+        for gws in (TRI, canonical_triangle(0.01), _triple(far)):
+            verts = gws.as_array()
+            size = np.ptp(verts, axis=0).max()
+            for shift in (0.0, 1e-3, 1.0, 100.0, 171.0):
+                targets = rng.dirichlet([1.0, 1.0, 1.0], 600) @ verts
+                targets *= rng.uniform(0.8, 1.2, (600, 1))
+                rows = forward_toa_batch(targets, gws, shift)
+                rel = np.where(np.arange(600) % 3 == 0, 10.0, 1e-3)[:, None]
+                rows += rng.uniform(-1.0, 1.0, rows.shape) * (rel * size / SPEED_OF_LIGHT)
+                cols = np.ascontiguousarray(rows.T).T
+                assert cols.flags.f_contiguous and not cols.flags.c_contiguous
+                a = solve_closed_form_batch(rows, gws)
+                b = solve_closed_form_batch(cols, gws)
+                for name in ("x", "y", "t0_s", "residual_m"):
+                    got, want = getattr(b, name), getattr(a, name)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, shift)
+                assert np.array_equal(b.root_index, a.root_index)
+                assert np.array_equal(b.ok, a.ok)
+                checked += a.ok.sum()
+                rootless += (~a.ok).sum()
+        assert checked > 5000 and rootless > 500
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

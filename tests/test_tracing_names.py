@@ -5,6 +5,7 @@ module binds, so renaming one of those names, or calling around it, silently
 drops a layer from the benchmark. This test runs the tracer in-process.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +49,26 @@ def test_tracer_sees_every_layer_and_restores_every_name(tmp_path, capsys):
     assert not missing
     for m, saved in zip(modules, before):
         assert all(vars(m)[k] is v for k, v in saved.items()), m.__name__
+
+
+def test_tracer_counts_every_kernel_row(tmp_path, capsys):
+    """The kernel solves through ``experiments.solve_closed_form_batch``, so the
+    tracer sees all 8 sign patterns of every target and magnitude set."""
+    n, periods, transmissions = 300, 3, 5
+    out = str(tmp_path / "table.csv")
+    cfg = tmp_path / "periods.json"
+    cfg.write_text(json.dumps({"sweep": {"start_ns": 10.0, "stop_ns": 30.0, "step_ns": 10.0}}))
+    sweep = ["sweep-emax", "--seed", "4", "--points", str(n), "--workers", "1",
+             "--config", str(cfg), "--out", out]  # fmt: skip
+    emap = ["error-map", "--seed", "4", "--points", str(n), "--transmissions",
+            str(transmissions), "--workers", "1", "--out", out]  # fmt: skip
+    for argv, rows in ((sweep, 8 * periods * n), (emap, 8 * transmissions * n)):
+        t = tracing.Tracer()
+        t.install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            t.uninstall()
+        got = sum(s.attrs["rows"] for s in t.spans if s.name == "solver.solve_closed_form_batch")
+        assert got == rows, argv[0]
+    capsys.readouterr()
