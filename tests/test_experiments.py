@@ -96,6 +96,7 @@ def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
     "diameter_m, n, n_sets",
     [
         (10000.0, 300, 4),  # 256-target blocks, the last one partial
+        (10000.0, 5, 513),  # 8 K rows of two targets exceed a block, so one per block
         (10000.0, 5, _KERNEL_ROWS // 8 + 1),  # one target's 8 K rows exceed a block
         (0.01, 200, 3),  # a 1 cm cell, where solves fail
     ],
