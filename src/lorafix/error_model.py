@@ -25,6 +25,9 @@ import numpy as np
 from .counter import CounterConfig
 
 # The 8 sign patterns of a (+/-e, +/-e, +/-e) perturbation, in a fixed order.
+# Rows 0 and 7, (+,+,+) and (-,-,-), shift every arrival alike, which only
+# moves the emission time; the e_max sweep solves rows 1..6, the error map
+# all 8 (see ``experiments._SWEEP_PATTERNS``).
 SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 
 

@@ -3,8 +3,10 @@
 Two Monte Carlo experiments plus two design sweeps:
 
 * ``sweep_emax`` — worst-case localization error as a function of the counter
-  period T: each sampled target's arrival times are shifted by +/-T in all
-  8 sign combinations, and the per-target worst error is averaged.
+  period T: each sampled target's arrival times are shifted by +/-T in the
+  6 sign combinations that move the TDoAs, and the per-target worst error is
+  averaged. The other two, (+,+,+) and (-,-,-), shift every arrival alike,
+  which only moves the emission time t0 and leaves the fix where it was.
 * ``error_map`` — spatial error map: per target, many transmissions each
   draw a timing error per gateway from the ideal error model, U[0, T), the
   8 sign patterns are applied on top, and the worst error over all
@@ -15,9 +17,10 @@ Two Monte Carlo experiments plus two design sweeps:
   the slowest spreading factor over bandwidth/payload/coding-rate limits.
 
 Both Monte Carlo experiments share one worst-case kernel: the sweep's shift
-magnitudes are its T values, the map's its per-transmission draws. The
-kernel takes targets in cache-sized blocks and solves every magnitude set and
-sign pattern of a block in one batch call. It builds the block's
+magnitudes are its T values, the map's its per-transmission draws; the sweep
+passes it its 6 sign patterns, the map all 8. The kernel takes targets in
+cache-sized blocks and solves every magnitude set and sign pattern of a
+block in one batch call. It builds the block's
 observations pattern-major, target index innermost, so the solver reads each
 gateway's column contiguously and the worst case and failure count of a
 target reduce over the leading axes. Batch rows are solved independently, so
@@ -45,6 +48,13 @@ from .geometry import GatewayTriple, canonical_triangle, sample_points_in_triang
 from .lora_phy import RadioParams, duty_cycle, low_dr_opt_auto, preamble_duration, symbol_duration
 from .lora_phy import symbol_terms, time_on_air
 from .solver import forward_toa_batch, solve_closed_form_batch
+
+# The sweep's sign patterns: the 6 that shift the arrivals differently. The
+# TDoA unknown t0 absorbs a shift common to all three gateways, so (+,+,+)
+# and (-,-,-) give the unperturbed fix with t0 = +/-T, as long as -T stays
+# above the solver's t0 floor (T < 1 us). The map keeps all 8: there each
+# gateway draws its own magnitude, so no pattern is common-mode.
+_SWEEP_PATTERNS = SIGN_PATTERNS[1:7]
 
 
 def _default_triangle() -> GatewayTriple:
@@ -157,40 +167,42 @@ def _chunk_slices(n: int, workers: int) -> list[slice]:
     return out
 
 
-def _map_chunk(pts, t_clean, mags, gws, per_set=True):
+def _map_chunk(pts, t_clean, mags, signs, gws, per_set=True):
     """Worst-case errors for one slice of targets under K magnitude sets.
 
-    ``mags`` broadcasts to (n, K, 3); set k shifts the arrival times by
-    ``mags[:, k]`` in all 8 sign patterns. Returns worst errors (-inf where
-    every solve failed) and failed-solve counts, of shape (K, n), or (1, n)
-    pooled over all K sets when ``per_set`` is False.
+    ``mags`` broadcasts to (n, K, 3) and ``signs`` is a (P, 3) array of sign
+    patterns; set k shifts the arrival times by ``signs[p] * mags[:, k]`` for
+    every p. Returns worst errors (-inf where every solve failed) and
+    failed-solve counts, of shape (K, n), or (1, n) pooled over all K sets
+    when ``per_set`` is False.
 
-    Targets are taken in blocks of about ``_KERNEL_ROWS / (8 K)``. A block of
-    nb targets builds its observations as one contiguous (3, K, 8, nb) array,
-    ``obs[j, k, p, i] = t_clean[i, j] + (sign[p, j] * mags[i, k, j])``, and
-    passes the (K 8 nb, 3) view ``obs.reshape(3, -1).T`` to the solver, so
-    each gateway's column is contiguous. The errors, shaped (K, 8, nb), take
+    Targets are taken in blocks of about ``_KERNEL_ROWS / (P K)``. A block of
+    nb targets builds its observations as one contiguous (3, K, P, nb) array,
+    ``obs[j, k, p, i] = t_clean[i, j] + (signs[p, j] * mags[i, k, j])``, and
+    passes the (K P nb, 3) view ``obs.reshape(3, -1).T`` to the solver, so
+    each gateway's column is contiguous. The errors, shaped (K, P, nb), take
     the targets by broadcasting; the max and the failure count run over the
-    pattern axis, or over all K 8 rows when pooled. Solver rows are
+    pattern axis, or over all K P rows when pooled. Solver rows are
     independent, so neither the block size nor the layout changes a single
     output bit.
     """
     n = pts.shape[0]
     n_sets = mags.shape[1]
-    block = max(1, _KERNEL_ROWS // (8 * n_sets))
+    n_signs = len(signs)
+    block = max(1, _KERNEL_ROWS // (n_signs * n_sets))
     worst = np.empty((n_sets if per_set else 1, n))
     fails = np.empty(worst.shape, dtype=np.int64)
-    signs = SIGN_PATTERNS.T[:, None, :, None]  # (3, 1, 8, 1)
+    signs = signs.T[:, None, :, None]  # (3, 1, P, 1)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         nb = hi - lo
         # mags[i, k, j] moves to [j, k, 0, i]; a shared (1, K, m) set broadcasts over i.
         m = (mags if len(mags) == 1 else mags[lo:hi]).transpose(2, 1, 0)[:, :, None, :]
-        obs = np.empty((3, n_sets, 8, nb))
+        obs = np.empty((3, n_sets, n_signs, nb))
         np.multiply(signs, m, out=obs)
         np.add(t_clean[lo:hi].T[:, None, None, :], obs, out=obs)
         out = solve_closed_form_batch(obs.reshape(3, -1).T, gws)
-        shape = (n_sets, 8, nb) if per_set else (1, 8 * n_sets, nb)
+        shape = (n_sets, n_signs, nb) if per_set else (1, n_signs * n_sets, nb)
         err = np.hypot(out.x.reshape(shape) - pts[lo:hi, 0], out.y.reshape(shape) - pts[lo:hi, 1])
         failed = ~out.ok.reshape(shape)
         err[failed] = -np.inf
@@ -203,13 +215,14 @@ def _map_chunk_call(args):
     return _map_chunk(*args)
 
 
-def _worst_case(pts, t_clean, mags, gws, workers, per_set=True):
+def _worst_case(pts, t_clean, mags, signs, gws, workers, per_set=True):
     """:func:`_map_chunk` over all targets; a (1, K, m) ``mags`` goes whole to each slice."""
     slices = _chunk_slices(pts.shape[0], workers)
     if len(slices) == 1:
-        return _map_chunk(pts, t_clean, mags, gws, per_set)
+        return _map_chunk(pts, t_clean, mags, signs, gws, per_set)
     jobs = [
-        (pts[s], t_clean[s], mags if len(mags) == 1 else mags[s], gws, per_set) for s in slices
+        (pts[s], t_clean[s], mags if len(mags) == 1 else mags[s], signs, gws, per_set)
+        for s in slices
     ]
     with ProcessPoolExecutor(max_workers=len(slices)) as ex:
         parts = list(ex.map(_map_chunk_call, jobs))
@@ -221,18 +234,24 @@ def sweep_emax(cfg: SweepConfig, workers: int = 1) -> EmaxResult:
 
     One target set is sampled once and reused across every T so the sweep
     varies only the perturbation magnitude. For each target and each T, the
-    arrival triple is shifted by +/-T in all 8 sign combinations; the target
-    contributes the largest of its 8 localization errors. ``e_max`` is the
-    mean of those per-target worst cases, ``sigma`` their sample spread. Both
-    skip targets whose 8 solves all failed, and are NaN where too few remain.
+    arrival triple is shifted by +/-T in the 6 sign combinations that move
+    the TDoAs (``_SWEEP_PATTERNS``); the target contributes the largest of
+    its 6 localization errors. The two common-mode combinations are not
+    solved: they move only t0, so their fix is the unperturbed one. ``e_max``
+    is the mean of those per-target worst cases, ``sigma`` their sample
+    spread. Both skip targets whose 6 solves all failed, and are NaN where
+    too few remain. ``failed_solves`` counts failures among the solves made,
+    6 per target and period.
     """
     T_values = _t_grid(cfg.T_range)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points_in_triangle(cfg.gws, cfg.n_points, rng)
     t_clean = forward_toa_batch(pts, cfg.gws, 0.0)
-    worst, fails = _worst_case(pts, t_clean, T_values[None, :, None], cfg.gws, workers)
+    worst, fails = _worst_case(
+        pts, t_clean, T_values[None, :, None], _SWEEP_PATTERNS, cfg.gws, workers
+    )
 
-    valid = np.isfinite(worst)  # -inf rows are targets whose 8 solves all failed
+    valid = np.isfinite(worst)  # -inf rows are targets whose solves all failed
     e_max = np.empty(len(T_values))
     sigma = np.empty(len(T_values))
     for i in range(len(T_values)):
@@ -268,7 +287,7 @@ def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
     shape = (cfg.n_points, cfg.n_transmissions, 3)
     errs = sample_error(params, np.broadcast_to(counts[:, None, :], shape), rng).total_s
 
-    worst, fails = _worst_case(pts, t_clean, errs, cfg.gws, workers, per_set=False)
+    worst, fails = _worst_case(pts, t_clean, errs, SIGN_PATTERNS, cfg.gws, workers, per_set=False)
     worst = np.where(np.isfinite(worst[0]), worst[0], math.nan)
     return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails[0])
 

@@ -375,7 +375,7 @@ class TestOutOfRangeNumbers:
                 ["sweep-emax", "--seed", "1", "--points", "10", "--diameter-m", "1e300"],
                 None,
                 0,
-                "no fix over 10 targets (80 failed solves)",
+                "no fix over 10 targets (60 failed solves)",
             ),
             (["solve", *["1e-6"] * 3, "--diameter-m", "0.001"], None, 0, "position (0.000, 0.000)"),
             (["solve", "1", "2", "3"], None, 2, "error: no-real-root: "),

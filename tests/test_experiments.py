@@ -11,6 +11,8 @@ from lorafix import (
     CounterConfig,
     CounterOverflowError,
     ErrorMapConfig,
+    GatewayTriple,
+    Position,
     SweepConfig,
     alpha_bounds,
     canonical_triangle,
@@ -24,8 +26,9 @@ from lorafix import (
 )
 from lorafix import experiments
 from lorafix.error_model import SIGN_PATTERNS
-from lorafix.experiments import _KERNEL_ROWS, _chunk_slices, _map_chunk, _t_grid
+from lorafix.experiments import _KERNEL_ROWS, _SWEEP_PATTERNS, _chunk_slices, _map_chunk, _t_grid
 from lorafix.lora_phy import VALID_BW_HZ, RadioParams, low_dr_opt_auto, time_on_air
+from lorafix.solver import DEFAULT_T0_FLOOR_S
 
 from _oracles import ALPHA_ORACLE_MAX_S, ALPHA_ORACLE_MIN_S
 
@@ -66,17 +69,19 @@ def test_kernel_shared_magnitudes_match_broadcast():
     pts = sample_points_in_triangle(gws, 300, np.random.default_rng(8))
     t_clean = forward_toa_batch(pts, gws)
     T_values = _t_grid((10e-9, 40e-9, 10e-9))
-    shared = _map_chunk(pts, t_clean, T_values[None, :, None], gws)
-    full = _map_chunk(pts, t_clean, np.broadcast_to(T_values[None, :, None], (300, 4, 3)), gws)
+    shared = _map_chunk(pts, t_clean, T_values[None, :, None], SIGN_PATTERNS, gws)
+    full = _map_chunk(
+        pts, t_clean, np.broadcast_to(T_values[None, :, None], (300, 4, 3)), SIGN_PATTERNS, gws
+    )
     assert shared[0].shape == shared[1].shape == (4, 300)
     assert np.array_equal(shared[0], full[0])
     assert np.array_equal(shared[1], full[1])
-    pooled = _map_chunk(pts, t_clean, T_values[None, :, None], gws, per_set=False)
+    pooled = _map_chunk(pts, t_clean, T_values[None, :, None], SIGN_PATTERNS, gws, False)
     assert np.array_equal(pooled[0], shared[0].max(axis=0, keepdims=True))
     assert np.array_equal(pooled[1], shared[1].sum(axis=0, keepdims=True))
 
 
-def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
+def _per_pattern_kernel(pts, t_clean, mags, signs, gws, per_set=True):
     """Reference kernel: one solver call over every target per (set, sign pattern)."""
     n_sets = mags.shape[1]
     shape = (n_sets if per_set else 1, pts.shape[0])
@@ -84,7 +89,7 @@ def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
     fails = np.zeros(shape, dtype=np.int64)
     for k in range(n_sets):
         row = k if per_set else 0
-        for s in SIGN_PATTERNS:
+        for s in signs:
             out = solve_closed_form_batch(t_clean + s[None, :] * mags[:, k, :], gws)
             err = np.where(out.ok, np.hypot(out.x - pts[:, 0], out.y - pts[:, 1]), -np.inf)
             np.maximum(worst[row], err, out=worst[row])
@@ -92,18 +97,39 @@ def _per_pattern_kernel(pts, t_clean, mags, gws, per_set=True):
     return worst, fails
 
 
+def _kernel_cases(signs, prefix, cases):
+    return [pytest.param(signs, *c, id=prefix + "-".join(map(str, c))) for c in cases]
+
+
 @pytest.mark.parametrize(
-    "diameter_m, n, n_sets",
+    "signs, diameter_m, n, n_sets",
     [
-        (10000.0, 300, 4),  # 256-target blocks, the last one partial
-        (10000.0, 5, 513),  # 8 K rows of two targets exceed a block, so one per block
-        (10000.0, 5, _KERNEL_ROWS // 8 + 1),  # one target's 8 K rows exceed a block
-        (0.01, 200, 3),  # a 1 cm cell, where solves fail
+        *_kernel_cases(
+            SIGN_PATTERNS,
+            "",
+            [
+                (10000.0, 300, 4),  # 256-target blocks, the last one partial
+                (10000.0, 5, 513),  # 8 K rows of two targets exceed a block, so one per block
+                (10000.0, 5, _KERNEL_ROWS // 8 + 1),  # one target's 8 K rows exceed a block
+                (0.01, 200, 3),  # a 1 cm cell, where solves fail
+            ],
+        ),
+        # The sweep's 6 patterns: the block is sized from 6 K rows.
+        *_kernel_cases(
+            _SWEEP_PATTERNS,
+            "6-",
+            [
+                (10000.0, 400, 4),  # 341-target blocks, the last one partial
+                (10000.0, 5, 513),  # two targets per block, the last one partial
+                (10000.0, 5, _KERNEL_ROWS // 6 + 1),  # one target's 6 K rows exceed a block
+                (0.01, 200, 3),
+            ],
+        ),
     ],
 )
 @pytest.mark.parametrize("per_set", [True, False])
 @pytest.mark.parametrize("shared", [True, False])
-def test_kernel_matches_per_pattern_loop(diameter_m, n, n_sets, per_set, shared):
+def test_kernel_matches_per_pattern_loop(signs, diameter_m, n, n_sets, per_set, shared):
     gws = canonical_triangle(diameter_m)
     rng = np.random.default_rng(12)
     pts = sample_points_in_triangle(gws, n, rng)
@@ -112,10 +138,10 @@ def test_kernel_matches_per_pattern_loop(diameter_m, n, n_sets, per_set, shared)
         mags = np.linspace(10e-9, 60e-9, n_sets)[None, :, None]
     else:
         mags = rng.random((n, n_sets, 3)) * 40e-9
-    block = max(1, _KERNEL_ROWS // (8 * n_sets))
+    block = max(1, _KERNEL_ROWS // (len(signs) * n_sets))
     assert block == 1 or n % block
-    got = _map_chunk(pts, t_clean, mags, gws, per_set)
-    want = _per_pattern_kernel(pts, t_clean, mags, gws, per_set)
+    got = _map_chunk(pts, t_clean, mags, signs, gws, per_set)
+    want = _per_pattern_kernel(pts, t_clean, mags, signs, gws, per_set)
     assert got[0].shape == want[0].shape == (n_sets if per_set else 1, n)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -123,6 +149,70 @@ def test_kernel_matches_per_pattern_loop(diameter_m, n, n_sets, per_set, shared)
         # Equal shifts on all three gateways still give real roots here; the
         # drawn magnitudes leave most hyperbola pairs without an intersection.
         assert want[1].sum() > 0
+
+
+@pytest.mark.parametrize("diameter_m", [0.01, 10000.0, 1e6])
+@pytest.mark.parametrize("seed", [0, 7, 401])
+def test_sweep_patterns_match_all_eight(diameter_m, seed):
+    """On the default period grid, the sweep's 6 patterns give the worst cases
+    and failure counts of all 8, bit for bit: (+,+,+) and (-,-,-) only move t0."""
+    gws = canonical_triangle(diameter_m)
+    pts = sample_points_in_triangle(gws, 1000, np.random.default_rng(seed))
+    t_clean = forward_toa_batch(pts, gws)
+    mags = _t_grid(SweepConfig().T_range)[None, :, None]
+    got = _map_chunk(pts, t_clean, mags, _SWEEP_PATTERNS, gws)
+    want = _per_pattern_kernel(pts, t_clean, mags, SIGN_PATTERNS, gws)
+    assert got[0].shape == (40, 1000)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+# Non-canonical deployments: scalene, off the origin, from 40 m to 38 km across.
+COMMON_MODE_TRIANGLES = [
+    ((0.0, 0.0), (7300.0, 0.0), (2100.0, 4800.0)),
+    ((1.2e5, -3.4e4), (1.23e5, -3.3e4), (1.21e5, -3.1e4)),
+    ((0.0, 0.0), (40.0, 5.0), (12.0, 30.0)),
+    ((-2.0e4, 5.0e3), (1.5e4, -1.0e4), (3.0e3, 2.6e4)),
+]
+
+
+def _common_mode_rows(verts, seed, T):
+    """Clean arrivals, their fixes, and the (+,+,+) and (-,-,-) solves at period T."""
+    gws = GatewayTriple(*(Position(*v) for v in verts))
+    pts = sample_points_in_triangle(gws, 500, np.random.default_rng(seed))
+    t_clean = forward_toa_batch(pts, gws)
+    base = solve_closed_form_batch(t_clean, gws)
+    rows = {sign: solve_closed_form_batch(t_clean + sign * T, gws) for sign in (1.0, -1.0)}
+    return t_clean, base, rows
+
+
+@pytest.mark.parametrize("seed, verts", list(enumerate(COMMON_MODE_TRIANGLES)))
+def test_common_mode_patterns_only_move_t0(seed, verts):
+    """Why the sweep skips (+,+,+) and (-,-,-): below 1 us they give the
+    unperturbed fix, with the whole shift absorbed by t0 = +/-T."""
+    assert [tuple(r) for r in SIGN_PATTERNS[[0, 7]]] == [(1.0,) * 3, (-1.0,) * 3]
+    for T in (2.5e-9, 40e-9, 100e-9, 900e-9):
+        t_clean, base, rows = _common_mode_rows(verts, seed, T)
+        assert base.ok.all()
+        rounding = 64 * np.finfo(float).eps * (t_clean.max() + T)
+        for sign, out in rows.items():
+            assert out.ok.all()
+            assert np.hypot(out.x - base.x, out.y - base.y).max() <= 1e-6, (T, sign)
+            assert np.abs(out.t0_s - sign * T).max() <= rounding, (T, sign)
+
+
+@pytest.mark.parametrize("seed, verts", list(enumerate(COMMON_MODE_TRIANGLES)))
+def test_common_mode_identity_stops_at_the_t0_floor(seed, verts):
+    """At T >= 1 us the (-,-,-) root's t0 = -T is below the solver's t0 floor:
+    a ghost root above the floor wins, or the pick falls back below the floor."""
+    T = 1.5e-6
+    assert -T < DEFAULT_T0_FLOOR_S
+    _, base, rows = _common_mode_rows(verts, seed, T)
+    plus, minus = rows[1.0], rows[-1.0]
+    assert np.hypot(plus.x - base.x, plus.y - base.y).max() <= 1e-6
+    moved = np.hypot(minus.x - base.x, minus.y - base.y)
+    assert np.all((moved > 1.0) | (minus.t0_s < DEFAULT_T0_FLOOR_S))
+    assert np.any(moved > 1.0)
 
 
 class TestSweepEmax:
@@ -162,7 +252,8 @@ class TestSweepEmax:
 
     def test_spread_needs_two_finite_targets(self):
         # One target has a worst case but no spread. At 1e300 m every solve
-        # overflows, so no target has a worst case either.
+        # overflows, so no target has a worst case either: 10 targets, 6
+        # solved sign patterns each.
         one = sweep_emax(SweepConfig(T_range=(40e-9, 40e-9, 1e-9), n_points=1, seed=1))
         assert np.isfinite(one.e_max_m[0]) and np.isnan(one.sigma_m[0])
         huge = SweepConfig(
@@ -170,7 +261,7 @@ class TestSweepEmax:
         )
         none = sweep_emax(huge)
         assert np.isnan(none.e_max_m[0]) and np.isnan(none.sigma_m[0])
-        assert none.failed_solves[0] == 80
+        assert none.failed_solves[0] == 60
 
     def test_stop_below_start_rejected(self):
         with pytest.raises(ValueError, match="below its start"):

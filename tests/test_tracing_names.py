@@ -53,7 +53,8 @@ def test_tracer_sees_every_layer_and_restores_every_name(tmp_path, capsys):
 
 def test_tracer_counts_every_kernel_row(tmp_path, capsys):
     """The kernel solves through ``experiments.solve_closed_form_batch``, so the
-    tracer sees all 8 sign patterns of every target and magnitude set."""
+    tracer sees every solved row: the sweep's 6 differential sign patterns per
+    target and period, and the map's 8 per target and transmission."""
     n, periods, transmissions = 300, 3, 5
     out = str(tmp_path / "table.csv")
     cfg = tmp_path / "periods.json"
@@ -62,7 +63,7 @@ def test_tracer_counts_every_kernel_row(tmp_path, capsys):
              "--config", str(cfg), "--out", out]  # fmt: skip
     emap = ["error-map", "--seed", "4", "--points", str(n), "--transmissions",
             str(transmissions), "--workers", "1", "--out", out]  # fmt: skip
-    for argv, rows in ((sweep, 8 * periods * n), (emap, 8 * transmissions * n)):
+    for argv, rows in ((sweep, 6 * periods * n), (emap, 8 * transmissions * n)):
         t = tracing.Tracer()
         t.install()
         try:
