@@ -51,9 +51,9 @@ class ErrorModelParams:
     def __post_init__(self):
         if not (self.t_g_s > 0):
             raise ValueError(f"t_g_s must be positive, got {self.t_g_s!r}")
-        if self.sigma1_s < 0 or self.sigma2_s < 0:
+        if not (self.sigma1_s >= 0 and self.sigma2_s >= 0):
             raise ValueError("drift/jitter standard deviations must be >= 0")
-        if self.max_slippages < 0:
+        if not (self.max_slippages >= 0):
             raise ValueError(f"max_slippages must be >= 0, got {self.max_slippages!r}")
 
 

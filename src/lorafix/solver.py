@@ -38,10 +38,11 @@ independent solution routes are implemented and cross-validated:
 
 Both routes work about the gateway centroid, so a triangle far from the
 coordinate origin loses no precision, and both produce two algebraic
-candidates. One rule, written once for floats and arrays, keeps the
-physical one: ``_pick`` (t0 floor, then the smaller range residual) and, on
-a residual tie, ``_prefer`` (inside the triangle, then nearer its centroid).
-The scalar routes reach it through ``_select``, the batch row by row.
+candidates. One residual, ``_rms_residual``, scores them, and one rule keeps
+the physical one: ``_pick`` (t0 floor, then the smaller range residual) and,
+on a residual tie, ``_prefer`` (inside the triangle, then nearer its
+centroid). All three are written once for floats and arrays: the scalar
+routes reach them through ``_select``, the batch on all its rows at once.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.nd
     """
     pts = np.asarray(points, dtype=float)
     t0 = np.asarray(t0_s, dtype=float)
-    if np.any(t0 < 0):
+    if not np.all(t0 >= 0):  # NaN fails it too
         raise ValueError("emission times must be non-negative")
     x, y = pts[:, 0], pts[:, 1]
     out = np.empty((pts.shape[0], 3))
@@ -204,28 +205,46 @@ def _prefer(x0, y0, x1, y1, pick, gws, cx, cy):
     return better1 | (pick & (better0 == better1))
 
 
+def _rms_residual(x, y, t0, t, ga, gb, sqrt):
+    """RMS range residual of candidates (x, y, t0) about the centroid frame ``ga``, ``gb``.
+
+    ``t`` holds the arrival times. Only operators and augmented assignments, so
+    it gives the same bits on one candidate's floats with ``math.sqrt`` and on
+    the batch's (2, n) arrays with ``np.sqrt``. Not finite where x, y or t0 is
+    not, so it alone marks a bad candidate.
+    """
+    s = 0.0
+    for aj, bj, tj in zip(ga, gb, t):
+        r = x - aj
+        r *= r
+        d = y - bj
+        d *= d
+        r += d
+        r = sqrt(r)
+        d = tj - t0  # rebinding d frees its buffer for the next array
+        d *= SPEED_OF_LIGHT
+        r -= d
+        r *= r
+        s += r
+    s /= 3.0
+    return sqrt(s)
+
+
 def _select(cands, t, gws, frame):
     """Score a scalar route's two candidates and pick the fix.
 
     ``cands`` holds two (x, y, t0) in root order, about the centroid of
     ``frame`` (from :func:`_centred_frame`); ``t`` holds the arrival times.
-    The scoring (1 ps t0 clamp, RMS range residual) follows the batch route
-    operation for operation. Raises NoRealRootError if neither is finite.
+    Each t0 is clamped at 1 ps before ``_rms_residual`` scores it, as in the
+    batch. Raises NoRealRootError if neither is finite.
     """
-    c = SPEED_OF_LIGHT
     cx, cy, ga, gb = frame
     scored = []
     for x, y, t0 in cands:
         if abs(t0) < _T0_CLAMP_S:
             t0 = 0.0
-        s = 0.0
-        for aj, bj, tj in zip(ga, gb, t):
-            dx, dy = x - aj, y - bj
-            r = math.sqrt(dx * dx + dy * dy) - c * (tj - t0)
-            s += r * r
-        res = math.sqrt(s / 3.0)
-        # Not finite, so kept as inf, whenever x, y or t0 is not, or a range overflows.
-        scored.append((x, y, t0, res if res < math.inf else math.inf))
+        res = _rms_residual(x, y, t0, t, ga, gb, math.sqrt)
+        scored.append((x, y, t0, res if res < math.inf else math.inf))  # NaN -> inf
     (x0, y0, t00, res0), (x1, y1, t01, res1) = scored
     if res0 == res1 == math.inf:
         raise NoRealRootError("observation admits no real range solution")
@@ -395,8 +414,9 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             + (xc-a1)^2 + (yc-b1)^2 = 0,
 
     solved with the same stable quadratic used by the analytic route. The
-    coefficients come from ``_closing_quadratic`` and the pick from ``_pick``
-    and ``_prefer``, all shared with :func:`solve_closed_form`.
+    coefficients come from ``_closing_quadratic``, the candidates' scores from
+    ``_rms_residual`` and the pick from ``_pick`` and ``_prefer``, all shared
+    with :func:`solve_closed_form`.
 
     The two candidates are stored candidate-major, as (2, n) arrays whose
     row k holds root k of every observation, so each elementwise pass runs
@@ -425,11 +445,10 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         raise ValueError(f"toas must have shape (n, 3), got {t.shape}")
     cx, cy, ga, gb = _centred_frame(gws)
     # Rows with no real root, or huge geometries, overflow or divide by zero
-    # into non-finite values, which the verdicts below handle. The passes reuse
-    # buffers (out=, in-place operators) but give every element the operations
-    # of the plain expressions, in their order: 4*qa*qc,
-    # -(rtol*max(qb^2, |4*qa*qc|)), -0.5*(qb + copysign(sqrt(disc), qb)),
-    # xc + xl*d1, t1 - d1/c and c*(tj - t0).
+    # into non-finite values, which the verdicts below handle. The root passes
+    # reuse buffers (out=, in-place operators) but give every element the
+    # operations of the plain expressions, in their order: 4*qa*qc,
+    # -(rtol*max(qb^2, |4*qa*qc|)) and -0.5*(qb + copysign(sqrt(disc), qb)).
     with np.errstate(all="ignore"):
         xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(t[:, 0], t[:, 1], t[:, 2], ga, gb)
         qb2 = qb * qb
@@ -449,33 +468,11 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         np.divide(q, qa, out=d1[0])
         np.divide(qc, q, out=d1[1])
 
-        x = np.multiply(xl, d1)
-        np.add(xc, x, out=x)
-        y = np.multiply(yl, d1)
-        np.add(yc, y, out=y)
-        t0 = np.divide(d1, c)
-        np.subtract(t[:, 0], t0, out=t0)
+        x = xc + xl * d1
+        y = yc + yl * d1
+        t0 = t[:, 0] - d1 / c
         t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
-
-        # Per-candidate RMS range residual. It is non-finite whenever x, y or t0
-        # is, so it alone marks the bad candidates.
-        ssq = np.zeros_like(d1)
-        r = np.empty_like(d1)
-        dy = d1  # d1 is spent; its buffer takes the y and range-difference terms
-        for aj, bj, tj in zip(ga, gb, t.T):
-            np.subtract(x, aj, out=r)
-            r *= r
-            np.subtract(y, bj, out=dy)
-            dy *= dy
-            r += dy
-            np.sqrt(r, out=r)
-            np.subtract(tj, t0, out=dy)
-            dy *= c
-            r -= dy
-            r *= r
-            ssq += r
-        ssq /= 3.0
-        res = np.sqrt(ssq, out=ssq)
+        res = _rms_residual(x, y, t0, t.T, ga, gb, np.sqrt)
         # The residual is >= 0, so NaN is its only non-finite value besides inf.
         res[np.isnan(res)] = np.inf
 
@@ -503,8 +500,8 @@ def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEs
     """Closed-form TDoA solve of a single observation, in Python floats.
 
     Gives bit for bit the row :func:`solve_closed_form_batch` gives: it
-    shares the batch's coefficient helper and selection rule, and forms and
-    scores its candidates in the batch's frame and order of operations.
+    shares the batch's coefficient helper, residual and selection rule, and
+    forms its candidates with the batch's expression in the batch's frame.
 
     Raises
     ------

@@ -7,6 +7,7 @@ run always shows the verdict table.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import lorafix
 from lorafix import (
     CounterConfig,
     ErrorMapConfig,
@@ -232,10 +234,15 @@ def test_07_error_distributions(capfd):
 
 
 def _run_cli(*argv, workers):
+    # The child imports the same lorafix as these tests, wherever it came from.
+    src = os.path.dirname(os.path.dirname(lorafix.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "lorafix", *argv, "--workers", str(workers)],
         capture_output=True,
         text=True,
+        env=env,
         timeout=300,
     )
 

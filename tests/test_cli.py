@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import lorafix
 from lorafix import Position, canonical_triangle, cli, forward_toa
 from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
@@ -24,6 +25,9 @@ from _oracles import (
 
 def run_cli(*argv, env_extra=None, cwd=None):
     env = {**os.environ, **(env_extra or {})}
+    # The child imports the same lorafix as these tests, wherever it came from.
+    src = os.path.dirname(os.path.dirname(lorafix.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "lorafix", *argv],
         capture_output=True,

@@ -103,6 +103,9 @@ def test_params_validation():
         ErrorModelParams(max_slippages=-1)
     with pytest.raises(ValueError):
         ErrorModelParams(t_g_s=0.0)
+    for knob in ("sigma1_s", "sigma2_s", "max_slippages"):
+        with pytest.raises(ValueError):
+            ErrorModelParams(**{knob: math.nan})
 
 
 def test_sign_patterns_order():

@@ -29,6 +29,7 @@ from lorafix.solver import (
     _pick,
     _prefer,
     _res_tie_tol,
+    _rms_residual,
 )
 
 from _oracles import LATE_ROOTLESS_GATEWAYS, LATE_ROOTLESS_OBS, NO_REAL_ROOT_OBS
@@ -172,6 +173,9 @@ class TestForwardModel:
             forward_toa(Position(0.0, 0.0), TRI, t0_s=-1e-9)
         with pytest.raises(ValueError):
             forward_toa_batch(np.zeros((2, 2)), TRI, t0_s=np.array([0.0, -1e-9]))
+        for t0 in (np.nan, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError):
+                forward_toa_batch(np.zeros((2, 2)), TRI, t0_s=t0)
 
     def test_batch_matches_scalar(self):
         pts = _random_interior(50, 71)
@@ -690,6 +694,11 @@ class TestInvariances:
         assert gaps == []
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called on a scalar candidate")
+
+
 def _residual(est, obs, gws=TRI):
     """RMS range residual of a fix, in absolute coordinates with math.hypot."""
     s = 0.0
@@ -721,6 +730,47 @@ class TestResidual:
             Position(est.pos.x + 1.0, est.pos.y), est.t0_s, est.residual_m, est.root_index
         )
         assert _residual(moved, obs) > 0.5
+
+    def test_rms_residual_same_bits_on_floats_and_arrays(self, monkeypatch):
+        """``_rms_residual`` scores each candidate's Python floats, with
+        ``math.sqrt`` and no numpy call, to the bits of one (2, n) array call
+        with ``np.sqrt``, NaN positions and payloads included, without touching
+        its array inputs. Seeded x, y, t0 mix finite values with +-1e200 (the
+        squares overflow), +-inf and NaN, on the canonical triangle and one
+        far off the origin. Covers every candidate, not only the one each
+        route returns: a dropped candidate's score still steers ``_pick``."""
+        rng = np.random.default_rng(2701)
+        far = _random_triangle(rng, 3e3, 15.0) + np.array([4e6, -7e6])
+        special = np.array([1e200, -1e200, np.inf, -np.inf, np.nan])
+        n = 5000
+        for gws in (TRI, _triple(far)):
+            _, _, ga, gb = solver._centred_frame(gws)
+            size = np.ptp(gws.as_array(), axis=0).max()
+            t = np.sort(rng.uniform(0.0, 1e-3, (3, n)), axis=0)
+            cands = []
+            for scale in (size, size, 1e-3):  # x, y, t0
+                v = rng.uniform(-3.0, 3.0, (2, n)) * scale
+                mask = rng.random((2, n)) < 0.1
+                v[mask] = rng.choice(special, mask.sum())
+                cands.append(v)
+            x, y, t0 = cands
+            t0[:, ::7] = t[0, ::7]  # exact zero range differences
+            saved = [a.copy() for a in (x, y, t0, t)]
+            with np.errstate(all="ignore"):
+                want = _rms_residual(x, y, t0, t, ga, gb, np.sqrt)
+            for a, b in zip((x, y, t0, t), saved):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            with monkeypatch.context() as m:
+                m.setattr(solver, "np", _NoNumpy())
+                got = [
+                    _rms_residual(float(x[k, i]), float(y[k, i]), float(t0[k, i]),
+                                  tuple(map(float, t[:, i])), ga, gb, math.sqrt)
+                    for k in range(2) for i in range(n)
+                ]
+            assert all(type(g) is float for g in got)
+            assert np.array_equal(np.array(got).view(np.uint64), want.ravel().view(np.uint64))
+            assert np.isnan(want).sum() > 500 and np.isinf(want).sum() > 500
+            assert np.isfinite(want).sum() > 3000
 
 
 class TestDegenerateInputs:
