@@ -18,6 +18,7 @@ residue, uniform on [0, T).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class ErrorModelParams:
 
     t_g_s is the gateway processor clock period, the cost of one slippage;
     sigma1_s / sigma2_s are the per-tick counter drift and per-slip jitter
-    standard deviations; max_slippages bounds the discrete slippage count.
+    standard deviations; max_slippages, a whole number, bounds the discrete
+    slippage count. Every knob must be finite.
     A zero sigma1_s or max_slippages switches the drift or slippage term off,
     as in the default, ideal mode.
     """
@@ -49,12 +51,13 @@ class ErrorModelParams:
     max_slippages: int = 0
 
     def __post_init__(self):
-        if not (self.t_g_s > 0):
-            raise ValueError(f"t_g_s must be positive, got {self.t_g_s!r}")
-        if not (self.sigma1_s >= 0 and self.sigma2_s >= 0):
-            raise ValueError("drift/jitter standard deviations must be >= 0")
-        if not (self.max_slippages >= 0):
-            raise ValueError(f"max_slippages must be >= 0, got {self.max_slippages!r}")
+        if not (0 < self.t_g_s < math.inf):
+            raise ValueError(f"t_g_s must be finite and positive, got {self.t_g_s!r}")
+        if not (0 <= self.sigma1_s < math.inf and 0 <= self.sigma2_s < math.inf):
+            raise ValueError("drift/jitter standard deviations must be finite and >= 0")
+        m = self.max_slippages
+        if not (0 <= m < math.inf and m % 1 == 0):
+            raise ValueError(f"max_slippages must be an integer >= 0, got {m!r}")
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,12 @@ independent solution routes are implemented and cross-validated:
 
 Both routes work about the gateway centroid, so a triangle far from the
 coordinate origin loses no precision, and both produce two algebraic
-candidates. One residual, ``_rms_residual``, scores them, and one rule keeps
-the physical one: ``_pick`` (t0 floor, then the smaller range residual) and,
-on a residual tie, ``_prefer`` (inside the triangle, then nearer its
-centroid). All three are written once for floats and arrays: the scalar
-routes reach them through ``_select``, the batch on all its rows at once.
+candidates. One residual, ``_rms_residual``, scores them as generated, and
+one rule keeps the physical one: ``_pick`` (t0 floor, then the smaller range
+residual, NaN losing like inf, and the tie window) and, on a tie, ``_prefer``
+(inside the triangle, then nearer its centroid). All three are written once
+for floats and arrays: the scalar routes reach them through ``_select``, the
+batch on all its rows at once; only the kept t0 is snapped to 0 below 1 ps.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact by SI definition
 # solver does not know the counter period, whose physical floor is t0 > -T.
 DEFAULT_T0_FLOOR_S = -1e-6
 
-# |t0| below this is numerical noise around zero and is snapped to exactly 0.
+# A kept |t0| below this is numerical noise and is reported as exactly 0.
 _T0_CLAMP_S = 1e-12
 
 # A negative discriminant within this relative tolerance of the coefficient
@@ -80,10 +81,6 @@ _NEG_DISC_RTOL = 1e-9
 # change the 20k-point sweep digests.
 _RES_TIE_M = 1e-9
 _RES_TIE_REL = 1024 * 2.0**-52
-
-
-def _res_tie_tol(t_max_s):
-    return _RES_TIE_M + _RES_TIE_REL * (SPEED_OF_LIGHT * t_max_s)
 
 
 class NoRealRootError(ValueError):
@@ -174,20 +171,22 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     return (r1, r2)
 
 
-def _pick(res0, res1, t00, t01, tie_tol):
-    """(pick1, tie) for two candidates, on floats or arrays, residual inf if not finite.
+def _pick(res0, res1, t00, t01, t_max):
+    """(pick1, tie) for two candidates' raw residuals and t0s, on floats or arrays.
 
     A candidate with t0 above the floor and a finite residual beats one
-    without; else the smaller residual wins, an exact tie going to root 0.
-    ``tie`` marks residuals within ``tie_tol``, which both selectors take from
-    ``_res_tie_tol``: 1 nm plus 1024 * eps of c * t_max, linear in the latest
-    arrival so that a late emission does not widen it into a tie on every row;
-    |inf - x| and inf - inf fail it.
+    without; else the smaller residual wins, an exact tie going to root 0 and
+    a NaN residual losing like inf. ``tie`` marks residuals within 1 nm plus
+    1024 * eps of c * ``t_max``, the latest arrival: linear, so that a late
+    emission does not widen it into a tie on every row. A NaN or inf residual
+    never ties. Operators only, so floats need no numpy call.
     """
     p0 = (t00 >= DEFAULT_T0_FLOOR_S) & (res0 < math.inf)
     p1 = (t01 >= DEFAULT_T0_FLOOR_S) & (res1 < math.inf)
     same = p0 == p1
-    return (p1 > p0) | (same & (res1 < res0)), same & (abs(res1 - res0) < tie_tol)
+    less = (res1 < res0) | ((res0 != res0) & (res1 < math.inf))
+    tol = _RES_TIE_M + _RES_TIE_REL * (SPEED_OF_LIGHT * t_max)
+    return (p1 > p0) | (same & less), same & (abs(res1 - res0) < tol)
 
 
 def _prefer(x0, y0, x1, y1, pick, gws, cx, cy):
@@ -235,26 +234,24 @@ def _select(cands, t, gws, frame):
 
     ``cands`` holds two (x, y, t0) in root order, about the centroid of
     ``frame`` (from :func:`_centred_frame`); ``t`` holds the arrival times.
-    Each t0 is clamped at 1 ps before ``_rms_residual`` scores it, as in the
-    batch. Raises NoRealRootError if neither is finite.
+    ``_rms_residual`` scores the raw candidates and ``_pick`` decides, as in
+    the batch; only the kept t0 is snapped to 0 below 1 ps. Raises
+    NoRealRootError if neither residual is finite.
     """
     cx, cy, ga, gb = frame
-    scored = []
-    for x, y, t0 in cands:
-        if abs(t0) < _T0_CLAMP_S:
-            t0 = 0.0
-        res = _rms_residual(x, y, t0, t, ga, gb, math.sqrt)
-        scored.append((x, y, t0, res if res < math.inf else math.inf))  # NaN -> inf
-    (x0, y0, t00, res0), (x1, y1, t01, res1) = scored
-    if res0 == res1 == math.inf:
+    (x0, y0, t00), (x1, y1, t01) = cands
+    res0 = _rms_residual(x0, y0, t00, t, ga, gb, math.sqrt)
+    res1 = _rms_residual(x1, y1, t01, t, ga, gb, math.sqrt)
+    if not (res0 < math.inf or res1 < math.inf):
         raise NoRealRootError("observation admits no real range solution")
-    pick, tie = _pick(res0, res1, t00, t01, _res_tie_tol(max(map(abs, t))))
+    pick, tie = _pick(res0, res1, t00, t01, max(map(abs, t)))
     if tie:
         pick = _prefer(x0, y0, x1, y1, pick, gws, cx, cy)
+    x, y, t0, res = (x1, y1, t01, res1) if pick else (x0, y0, t00, res0)
+    if abs(t0) < _T0_CLAMP_S:
+        t0 = 0.0
     # contains() gives numpy bools on numpy-float gateways.
-    idx = int(pick)
-    x, y, t0, res = scored[idx]
-    return LocalizationEstimate(Position(x + cx, y + cy), t0, res, idx)
+    return LocalizationEstimate(Position(x + cx, y + cy), t0, res, int(pick))
 
 
 def _centred_frame(gws: GatewayTriple):
@@ -414,9 +411,9 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
             + (xc-a1)^2 + (yc-b1)^2 = 0,
 
     solved with the same stable quadratic used by the analytic route. The
-    coefficients come from ``_closing_quadratic``, the candidates' scores from
-    ``_rms_residual`` and the pick from ``_pick`` and ``_prefer``, all shared
-    with :func:`solve_closed_form`.
+    coefficients come from ``_closing_quadratic``, the raw candidates' scores
+    from ``_rms_residual`` and the pick from ``_pick`` and ``_prefer``, all
+    shared with :func:`solve_closed_form`, as is the 1 ps snap of the kept t0.
 
     The two candidates are stored candidate-major, as (2, n) arrays whose
     row k holds root k of every observation, so each elementwise pass runs
@@ -471,26 +468,25 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
         x = xc + xl * d1
         y = yc + yl * d1
         t0 = t[:, 0] - d1 / c
-        t0[np.abs(t0) < _T0_CLAMP_S] = 0.0
         res = _rms_residual(x, y, t0, t.T, ga, gb, np.sqrt)
-        # The residual is >= 0, so NaN is its only non-finite value besides inf.
-        res[np.isnan(res)] = np.inf
 
         t_max = np.abs(t[:, 0])
         np.maximum(t_max, np.abs(t[:, 1]), out=t_max)
         np.maximum(t_max, np.abs(t[:, 2]), out=t_max)
-        pick, tie = _pick(res[0], res[1], t0[0], t0[1], _res_tie_tol(t_max))
+        pick, tie = _pick(res[0], res[1], t0[0], t0[1], t_max)
         rows = np.flatnonzero(tie)
         if rows.size:
             xt, yt = x[:, rows], y[:, rows]
             pick[rows] = _prefer(xt[0], yt[0], xt[1], yt[1], pick[rows], gws, cx, cy)
         sel_res = np.where(pick, res[1], res[0])
         ok = np.isfinite(sel_res) & ~no_root
+        sel_res = np.where(ok, sel_res, np.nan)  # the default NaN, not a signed one
         nan = np.where(ok, 0.0, np.nan)
         out_x, out_y, out_t0 = (np.where(pick, a[1], a[0]) for a in (x, y, t0))
+        out_t0[np.abs(out_t0) < _T0_CLAMP_S] = 0.0
         out_x += cx
         out_y += cy
-        for a in (out_x, out_y, out_t0, sel_res):
+        for a in (out_x, out_y, out_t0):
             a += nan
         root_index = pick.astype(np.int8)
         return BatchSolveResult(out_x, out_y, out_t0, sel_res, root_index, ok)

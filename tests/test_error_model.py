@@ -103,9 +103,13 @@ def test_params_validation():
         ErrorModelParams(max_slippages=-1)
     with pytest.raises(ValueError):
         ErrorModelParams(t_g_s=0.0)
-    for knob in ("sigma1_s", "sigma2_s", "max_slippages"):
-        with pytest.raises(ValueError):
-            ErrorModelParams(**{knob: math.nan})
+    for knob in ("t_g_s", "sigma1_s", "sigma2_s", "max_slippages"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ErrorModelParams(**{knob: bad})
+    with pytest.raises(ValueError):
+        ErrorModelParams(max_slippages=1.5)
+    assert ErrorModelParams(max_slippages=2.0).max_slippages == 2
 
 
 def test_sign_patterns_order():

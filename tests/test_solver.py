@@ -28,7 +28,6 @@ from lorafix.solver import (
     BatchSolveResult,
     _pick,
     _prefer,
-    _res_tie_tol,
     _rms_residual,
 )
 
@@ -58,9 +57,15 @@ def _triple(verts):
     return GatewayTriple(*(Position(float(x), float(y)) for x, y in verts))
 
 
+def _tie_window(t_max):
+    """Residuals closer than this tie: 1 nm plus 1024 eps of c * t_max."""
+    return 1e-9 + 1024 * 2.0**-52 * (SPEED_OF_LIGHT * t_max)
+
+
 def _reference_batch(toas, gws):
     """Reference batch solve: the root-per-column (n, 2) layout with
-    ``np.hypot`` ranges, in absolute coordinates."""
+    ``np.hypot`` ranges, in absolute coordinates. Scores the raw t0 and
+    snaps only the reported one at 1 ps."""
     c = SPEED_OF_LIGHT
     t = np.asarray(toas, dtype=float)
     g = gws.as_array()
@@ -106,7 +111,6 @@ def _reference_batch(toas, gws):
     x = xc[:, None] + xl[:, None] * d1
     y = yc[:, None] + yl[:, None] * d1
     t0 = t[:, 0][:, None] - d1 / c
-    t0 = np.where(np.abs(t0) < _T0_CLAMP_S, 0.0, t0)
 
     with np.errstate(invalid="ignore"):
         ssq = np.zeros_like(d1)
@@ -125,7 +129,7 @@ def _reference_batch(toas, gws):
 
     pick = eff1 < eff0
     t_max = np.maximum(np.maximum(np.abs(t[:, 0]), np.abs(t[:, 1])), np.abs(t[:, 2]))
-    tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _res_tie_tol(t_max))
+    tie = np.isfinite(eff0) & np.isfinite(eff1) & (np.abs(eff0 - eff1) < _tie_window(t_max))
     rows = np.flatnonzero(tie)
     if rows.size:
         cx = g[:, 0].mean()
@@ -143,10 +147,11 @@ def _reference_batch(toas, gws):
     sel_res = np.where(pick, eff1, eff0)
     ok = np.isfinite(sel_res) & ~no_root
     nan = np.where(ok, 0.0, np.nan)
+    sel_t0 = np.where(pick, t0[:, 1], t0[:, 0])
     return BatchSolveResult(
         x=np.where(pick, x[:, 1], x[:, 0]) + nan,
         y=np.where(pick, y[:, 1], y[:, 0]) + nan,
-        t0_s=np.where(pick, t0[:, 1], t0[:, 0]) + nan,
+        t0_s=np.where(np.abs(sel_t0) < _T0_CLAMP_S, 0.0, sel_t0) + nan,
         residual_m=sel_res + nan,
         root_index=pick.astype(np.int8),
         ok=ok,
@@ -242,6 +247,20 @@ class TestRoundTrip:
             obs = forward_toa(Position(float(x), float(y)), TRI, 0.0)
             assert solve_closed_form(obs, TRI).t0_s == 0.0
             assert solve_analytic(obs, TRI).t0_s == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_emission_snap_leaves_the_residual(self, seed):
+        """Candidates are scored before the 1 ps snap of the reported t0, so a
+        noisy fix emitted at t0 = 0 keeps the sub-nm residual it has when
+        emitted later, on the batch and on both scalar routes."""
+        rng = np.random.default_rng(seed)
+        toas = forward_toa_batch(sample_points_in_triangle(TRI, 20_000, rng), TRI)
+        toas += rng.uniform(-40e-9, 40e-9, toas.shape)
+        out = solve_closed_form_batch(toas, TRI)
+        assert out.residual_m[out.ok].max() < 1e-9
+        for row in toas[out.ok & (out.t0_s == 0.0)].tolist():
+            for route in (solve_analytic, solve_closed_form):
+                assert route(ToAObservation(*row), TRI).residual_m < 1e-9
 
 
 class TestRouteEquivalence:
@@ -475,7 +494,7 @@ class TestBatchSolver:
             rootless += int((~want.ok).sum())
             ok = want.ok
             ranges = np.hypot(want.x[ok, None] - verts[:, 0], want.y[ok, None] - verts[:, 1])
-            tol = 1e-3 * _res_tie_tol(np.abs(toas[ok]).max(axis=1))
+            tol = 1e-3 * _tie_window(np.abs(toas[ok]).max(axis=1))
             tol += 4.0 * np.spacing(ranges.max(axis=1))
             assert np.all(np.abs(got.residual_m[ok] - want.residual_m[ok]) <= tol)
         assert 0.05 * 48 * n_rows < rootless < 0.95 * 48 * n_rows
@@ -505,16 +524,22 @@ class TestSelectionRule:
 
     BELOW = 2.0 * DEFAULT_T0_FLOOR_S
     INF, NAN = math.inf, math.nan
-    # (res0, res1, t00, t01) -> (pick1, tie); a non-finite candidate scores inf.
+    # (res0, res1, t00, t01, t_max) -> (pick1, tie); a NaN residual loses like inf.
     PICK = [
-        ((INF, 5.0, NAN, BELOW), (True, False)),  # the finite root wins below the floor
-        ((5.0, INF, BELOW, NAN), (False, False)),
-        ((1.0, 5.0, BELOW, 0.0), (True, False)),  # the floor beats the residual
-        ((1.0, 1.0, BELOW, 0.0), (True, False)),  # and leaves no tie
-        ((3.0, 2.0, BELOW, BELOW), (True, False)),  # both below: smaller residual
-        ((INF, INF, NAN, NAN), (False, False)),  # both non-finite
-        ((1.0, 1.0, 0.0, 0.0), (False, True)),  # equal residuals: root 0, tied
-        ((1.0, 1.0 + 1e-12, 0.0, 0.0), (False, True)),
+        ((INF, 5.0, NAN, BELOW, 0.0), (True, False)),  # the finite root wins below the floor
+        ((5.0, INF, BELOW, NAN, 0.0), (False, False)),
+        ((NAN, 5.0, 0.0, BELOW, 0.0), (True, False)),
+        ((5.0, NAN, BELOW, 0.0, 0.0), (False, False)),
+        ((1.0, 5.0, BELOW, 0.0, 0.0), (True, False)),  # the floor beats the residual
+        ((1.0, 1.0, BELOW, 0.0, 0.0), (True, False)),  # and leaves no tie
+        ((3.0, 2.0, BELOW, BELOW, 0.0), (True, False)),  # both below: smaller residual
+        ((INF, INF, NAN, NAN, 0.0), (False, False)),  # both non-finite
+        ((NAN, INF, 0.0, 0.0, 0.0), (False, False)),
+        ((NAN, NAN, 0.0, 0.0, 0.0), (False, False)),
+        ((1.0, 1.0, 0.0, 0.0, 0.0), (False, True)),  # equal residuals: root 0, tied
+        ((1.0, 1.0 + 1e-12, 0.0, 0.0, 0.0), (False, True)),
+        ((1.005, 1.0, 0.0, 0.0, 0.0), (True, False)),  # 5 mm apart: no tie at t_max 0,
+        ((1.005, 1.0, 0.0, 0.0, 171.0), (True, True)),  # but inside the 12 mm at 171 s
     ]
     # (x0, y0, x1, y1, pick) -> pick1, on the canonical triangle (centroid 0, 0).
     PREFER = [
@@ -528,9 +553,9 @@ class TestSelectionRule:
     def test_pick_on_floats_and_arrays(self):
         args, want = zip(*self.PICK)
         for a, w in zip(args, want):
-            assert _pick(*a, 1e-9) == w, a
+            assert _pick(*a) == w, a
         with np.errstate(invalid="ignore"):  # inf - inf
-            pick, tie = _pick(*np.array(args).T, 1e-9)
+            pick, tie = _pick(*np.array(args).T)
         assert [pick.tolist(), tie.tolist()] == [list(c) for c in zip(*want)]
 
     def test_prefer_on_floats_and_arrays(self):
@@ -594,6 +619,27 @@ class TestLateEmission:
                 assert gap.max() <= tol, (route, shift, gap.max())
                 assert np.array_equal(fixes[ok & far, 2], early[route][0][ok & far, 2])
         assert 0 < (~ok0).sum() < far.sum()  # some far rows have no real root
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_emission_picks_as_a_later_one(self, seed):
+        """Outside the circumcircle both roots are often exact, so the tie
+        rule decides. A noiseless fix emitted at t0 = 0, whose reported t0 is
+        snapped, keeps the root it gets when emitted 1 ms later: the snap
+        comes after scoring, so it cannot push the true root out of the
+        tie window."""
+        rng = np.random.default_rng(seed)
+        g = TRI.as_array()
+        centre = g.mean(axis=0)
+        r = np.hypot(*(g - centre).T).max() * np.sqrt(rng.uniform(1.0, 16.0, 20_000))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+        toas = forward_toa_batch(centre + np.column_stack([r * np.cos(theta), r * np.sin(theta)]), TRI)
+        now, later = (solve_closed_form_batch(toas + s, TRI) for s in (0.0, 1e-3))
+        assert now.ok.all() and later.ok.all()
+        assert np.array_equal(now.root_index, later.root_index)
+        assert np.hypot(now.x - later.x, now.y - later.y).max() < 1e-2
+        now, later = (_route_fixes(toas[:500] + s) for s in (0.0, 1e-3))
+        for route, (fixes, ok) in now.items():
+            assert ok.all() and np.array_equal(fixes[:, 2], later[route][0][:, 2]), route
 
 
 class TestInvariances:
