@@ -6,7 +6,8 @@ flags, loads the config, calls the command, emits its table and maps
 errors to exit codes.
 
 Exit codes: 0 success, 1 configuration/parse error, 2 domain error
-(collinear gateways, no real root, counter overflow), 3 I/O error.
+(collinear gateways, no real root, counter overflow), 3 I/O error, 4 a
+command too large for memory.
 JSON tables are strict JSON: a non-finite value is written as null.
 
 Output routing: with --out, the data table goes to the file and a short
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
+EXIT_MEMORY = 4
 
 
 class ConfigError(ValueError):
@@ -461,6 +463,7 @@ _ERRORS = (
     (CounterOverflowError, EXIT_DOMAIN, "counter-overflow: "),
     (ValueError, EXIT_CONFIG, ""),
     (OSError, EXIT_IO, "io: "),
+    (MemoryError, EXIT_MEMORY, "out-of-memory: "),
 )
 
 
@@ -469,7 +472,7 @@ def main(argv=None) -> int:
     try:
         cols, rows, summary = args.func(_load_config(args))
         _emit(cols, rows, summary, args.format, args.out)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         code, tag = next((code, tag) for kind, code, tag in _ERRORS if isinstance(e, kind))
         print(f"error: {tag}{e}", file=sys.stderr)
         return code

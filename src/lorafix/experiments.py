@@ -78,6 +78,10 @@ class SweepConfig:
             raise ValueError(f"T range start must be positive, got {start!r}")
         if not (stop >= start):
             raise ValueError(f"T range stop {stop!r} is below its start {start!r}")
+        if not math.isfinite((stop - start) / step):
+            raise ValueError(
+                f"T range {start!r}..{stop!r} in steps of {step!r} has no finite period count"
+            )
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points!r}")
 
@@ -153,18 +157,11 @@ _KERNEL_ROWS = 8192
 
 
 def _chunk_slices(n: int, workers: int) -> list[slice]:
-    """Contiguous slices of ``range(n)``, one per worker, at most one per CPU."""
+    """Contiguous non-empty slices of ``range(n)``, one per worker, at most one per CPU."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     k = min(int(workers), n, os.cpu_count() or 1)
-    base, rem = divmod(n, k)
-    out, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        if size:
-            out.append(slice(start, start + size))
-        start += size
-    return out
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _map_chunk(pts, t_clean, mags, signs, gws, per_set=True):

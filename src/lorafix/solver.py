@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GatewayTriple, Position, contains, distance
+from .geometry import GatewayTriple, Position, contains
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by SI definition
 
@@ -125,14 +125,10 @@ class LocalizationEstimate:
 
 
 def forward_toa(target: Position, gws: GatewayTriple, t0_s: float = 0.0) -> ToAObservation:
-    """Noise-free arrival times t_j = t0 + d_j / c for a target emission."""
-    if not (t0_s >= 0):
-        raise ValueError(f"emission time must be non-negative, got {t0_s!r}")
-    return ToAObservation(
-        t0_s + distance(target, gws.g1) / SPEED_OF_LIGHT,
-        t0_s + distance(target, gws.g2) / SPEED_OF_LIGHT,
-        t0_s + distance(target, gws.g3) / SPEED_OF_LIGHT,
-    )
+    """Noise-free arrival times t_j = t0 + d_j / c for a target emission: the
+    row :func:`forward_toa_batch` gives, bit for bit, and its ValueError on t0."""
+    row = forward_toa_batch(np.array([[target.x, target.y]]), gws, t0_s)[0]
+    return ToAObservation(*row.tolist())
 
 
 def forward_toa_batch(points: np.ndarray, gws: GatewayTriple, t0_s=0.0) -> np.ndarray:

@@ -220,6 +220,33 @@ class TestSweepRange:
         assert r.returncode == 1
         assert "T range start must be positive, got -5e-09" in r.stderr
 
+    def _assert_one_line_error(self, r, code, message):
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr
+        errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert r.stderr.splitlines()[-1] == errors[0]
+
+    def test_infinite_period_count_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {"stop_ns": 1e300, "step_ns": 1e-300}})
+        r = run_cli("sweep-emax", "--seed", "1", "--points", "2", "--config", cfg)
+        self._assert_one_line_error(r, 1, "no finite period count")
+
+    # 728 TiB of targets and 693 PiB of periods: both exceed the 128 TiB
+    # address space of a 64-bit Linux process, so the first array is refused
+    # before anything is allocated.
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [
+            (["--points", "100000000000000"], {}),
+            (["--points", "2"], {"sweep": {"step_ns": 1e-15}}),
+        ],
+    )
+    def test_too_large_for_memory_exit_4(self, tmp_path, flags, doc):
+        cfg = write_config(tmp_path, doc)
+        r = run_cli("sweep-emax", "--seed", "1", *flags, "--config", cfg)
+        self._assert_one_line_error(r, 4, "error: out-of-memory: Unable to allocate")
+
 
 class TestWorkers:
     @pytest.mark.parametrize("command, workers", [("sweep-emax", "0"), ("error-map", "-3")])

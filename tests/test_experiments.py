@@ -48,6 +48,7 @@ def test_chunk_slices_cover_range():
         slices = _chunk_slices(n, w)
         idx = np.concatenate([np.arange(n)[s] for s in slices])
         assert np.array_equal(idx, np.arange(n))
+        assert all(s.stop > s.start for s in slices)
 
 
 def test_chunk_slices_capped_at_cpu_count():
@@ -270,6 +271,12 @@ class TestSweepEmax:
         for start in (-5e-9, 0.0):
             with pytest.raises(ValueError, match="start must be positive"):
                 SweepConfig(T_range=(start, 5e-9, 5e-9))
+
+    def test_infinite_period_count_rejected(self):
+        # 1e300 ns in steps of 1e-300 ns (a subnormal 1e-309 s) is inf periods,
+        # which no grid can hold.
+        with pytest.raises(ValueError, match="no finite period count"):
+            SweepConfig(T_range=(2.5e-9, 1e300 * 1e-9, 1e-300 * 1e-9))
 
 
 class TestErrorMap:

@@ -191,6 +191,24 @@ class TestForwardModel:
             obs = forward_toa(Position(*pts[i]), TRI, float(t0s[i]))
             assert np.array_equal(batch[i], [obs.t1, obs.t2, obs.t3])
 
+    def test_batch_matches_scalar_across_seeds(self):
+        """The check above on seeds 0-199, then on a triangle 4000 km off the
+        origin with targets out to 1.7x its size and emissions up to 171 s:
+        45 000 arrival times, each the batch's bits."""
+        t0s = np.linspace(0.0, 1e-3, 50)
+        cases = [(_random_interior(50, seed), TRI, t0s) for seed in range(200)]
+        rng = np.random.default_rng(30)
+        far = _triple(_random_triangle(rng, 10000.0, 15.0) + 4e6)
+        centre = far.as_array().mean(axis=0)
+        for seed in range(100):
+            pts = sample_points_in_triangle(far, 50, np.random.default_rng(seed))
+            cases.append((centre + 1.7 * (pts - centre), far, rng.uniform(0.0, 171.0, 50)))
+        for pts, gws, t0s in cases:
+            batch = forward_toa_batch(pts, gws, t0s)
+            for p, t0, row in zip(pts, t0s, batch):
+                obs = forward_toa(Position(*p), gws, float(t0))
+                assert np.array_equal(row, [obs.t1, obs.t2, obs.t3])
+
     def test_batch_matches_broadcast_formula(self):
         """Column by column, the batch gives the bits of the (n, 3) broadcast
         t0 + hypot(dx, dy) / c, with a scalar and a per-point t0."""
