@@ -27,13 +27,11 @@ from .error_model import (
 from .experiments import (
     DEFAULT_PL_CAPS,
     AlphaBounds,
-    DutyCycleCell,
     EmaxResult,
     ErrorMapConfig,
     ErrorMapResult,
     SweepConfig,
     alpha_bounds,
-    duty_cycle_grid,
     error_map,
     sweep_emax,
 )
@@ -84,13 +82,11 @@ __all__ = [
     "sample_error",
     "AlphaBounds",
     "DEFAULT_PL_CAPS",
-    "DutyCycleCell",
     "EmaxResult",
     "ErrorMapConfig",
     "ErrorMapResult",
     "SweepConfig",
     "alpha_bounds",
-    "duty_cycle_grid",
     "error_map",
     "sweep_emax",
     "CollinearGatewaysError",

@@ -37,7 +37,6 @@ from .experiments import (
     ErrorMapConfig,
     SweepConfig,
     alpha_bounds,
-    duty_cycle_grid,
     error_map,
     sweep_emax,
 )
@@ -232,18 +231,13 @@ def _json_cell(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _python_cells(r) -> list:
-    # numpy scalars become their Python twins, so each cell is a bool, int, float or str.
-    return [v.item() if isinstance(v, np.generic) else v for v in r]
-
-
 # printf conversions that write a cell of exactly this type as _csv_cell does.
 _CSV_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _csv_lines(rows):
     # One row template per tuple of cell types; a row with any other cell type
-    # (a bool, a numpy scalar) goes through _csv_cell.
+    # (a bool) goes through _csv_cell.
     templates = {}
     for r in rows:
         types = tuple(map(type, r))
@@ -252,14 +246,14 @@ def _csv_lines(rows):
             templates[types] = None if None in conv else ",".join(conv)
         template = templates[types]
         if template is None:
-            yield ",".join(_csv_cell(v) for v in _python_cells(r))
+            yield ",".join(map(_csv_cell, r))
         else:
             yield template % tuple(r)
 
 
 def _render(cols, rows, fmt: str) -> str:
     if fmt == "json":
-        cells = [[_json_cell(v) for v in _python_cells(r)] for r in rows]
+        cells = [[_json_cell(v) for v in r] for r in rows]
         doc = {"columns": list(cols), "rows": cells}
         return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     lines = [",".join(cols)]
@@ -340,14 +334,15 @@ def cmd_dutycycle_grid(cfg) -> tuple:
     T_s = _get(cfg, "counter.T_ns", float) * 1e-9
     tau_values = _nums(_get(cfg, "grid.tau_s"), "grid.tau_s")
     n_values = _nums(_get(cfg, "grid.n_bits"), "grid.n_bits", int)
-    cells = duty_cycle_grid(tau_values, n_values, T_s)
     cols = ["tau_s", "n_bits", "T_s", "delta", "feasible_10pct", "feasible_1pct"]
-    rows = [
-        [c.tau_s, c.n_bits, c.T_s, c.delta, c.feasible_10pct, c.feasible_1pct] for c in cells
-    ]
-    k10 = sum(c.feasible_10pct for c in cells)
-    k1 = sum(c.feasible_1pct for c in cells)
-    summary = f"{len(cells)} cells at T={T_s:.3e} s: {k10} feasible at 10%, {k1} at 1%"
+    rows = []
+    for tau in tau_values:
+        for n in n_values:
+            delta = duty_cycle(tau, CounterConfig(n, T_s))
+            rows.append([tau, n, T_s, delta, delta <= 0.10, delta <= 0.01])
+    k10 = sum(r[4] for r in rows)
+    k1 = sum(r[5] for r in rows)
+    summary = f"{len(rows)} cells at T={T_s:.3e} s: {k10} feasible at 10%, {k1} at 1%"
     return cols, rows, summary
 
 
@@ -381,7 +376,12 @@ def cmd_alpha_bounds(cfg) -> tuple:
         if not isinstance(caps, dict) or not all(bw.isdigit() for bw in caps):
             got = json.dumps(caps)
             raise ConfigError(f"alpha.pl_caps must map integer bandwidths to caps, got {got}")
-        caps = {int(bw): _num(cap, f"alpha.pl_caps.{bw}", int) for bw, cap in caps.items()}
+        parsed = {}
+        for bw, cap in caps.items():
+            if int(bw) in parsed:
+                raise ConfigError(f"alpha.pl_caps.{bw} repeats bandwidth {int(bw)}")
+            parsed[int(bw)] = _num(cap, f"alpha.pl_caps.{bw}", int)
+        caps = parsed
     cr = _nums(_get(cfg, "alpha.cr"), "alpha.cr", int)
     bounds = alpha_bounds(
         sf=_get(cfg, "alpha.sf", int),

@@ -1,6 +1,6 @@
 """Monte Carlo studies over the gateway triangle.
 
-Two Monte Carlo experiments plus two design sweeps:
+Two Monte Carlo experiments plus one design sweep:
 
 * ``sweep_emax`` — worst-case localization error as a function of the counter
   period T: each sampled target's arrival times are shifted by +/-T in the
@@ -11,8 +11,6 @@ Two Monte Carlo experiments plus two design sweeps:
   draw a timing error per gateway from the ideal error model, U[0, T), the
   8 sign patterns are applied on top, and the worst error over all
   estimates is kept.
-* ``duty_cycle_grid`` — channel occupancy over a (time-on-air, counter bits)
-  grid with feasibility against the 10% and 1% regulatory caps.
 * ``alpha_bounds`` — the admissible sync-period interval implied by sweeping
   the slowest spreading factor over bandwidth/payload/coding-rate limits.
 
@@ -45,7 +43,7 @@ import numpy as np
 from .counter import CounterConfig, quantize
 from .error_model import SIGN_PATTERNS, ErrorModelParams, sample_error
 from .geometry import GatewayTriple, canonical_triangle, sample_points_in_triangle
-from .lora_phy import RadioParams, duty_cycle, low_dr_opt_auto, preamble_duration, symbol_duration
+from .lora_phy import RadioParams, low_dr_opt_auto, preamble_duration, symbol_duration
 from .lora_phy import symbol_terms, time_on_air
 from .solver import forward_toa_batch, solve_closed_form_batch
 
@@ -118,18 +116,6 @@ class ErrorMapResult:
     points: np.ndarray
     max_error_m: np.ndarray
     failed_solves: np.ndarray
-
-
-@dataclass(frozen=True)
-class DutyCycleCell:
-    """One (tau, n) grid cell with its occupancy and 10%/1% cap verdicts."""
-
-    tau_s: float
-    n_bits: int
-    T_s: float
-    delta: float
-    feasible_10pct: bool
-    feasible_1pct: bool
 
 
 @dataclass(frozen=True)
@@ -287,29 +273,6 @@ def error_map(cfg: ErrorMapConfig, workers: int = 1) -> ErrorMapResult:
     worst, fails = _worst_case(pts, t_clean, errs, SIGN_PATTERNS, cfg.gws, workers, per_set=False)
     worst = np.where(np.isfinite(worst[0]), worst[0], math.nan)
     return ErrorMapResult(points=pts, max_error_m=worst, failed_solves=fails[0])
-
-
-def duty_cycle_grid(tau_values, n_values, T_s: float) -> list[DutyCycleCell]:
-    """Occupancy ratio and cap feasibility over a (tau, n) grid.
-
-    Every cell's delta comes from :func:`lorafix.lora_phy.duty_cycle`, with
-    its verdicts against the 10% and 1% regulatory caps.
-    """
-    cells = []
-    for tau in tau_values:
-        for n in n_values:
-            d = duty_cycle(tau, CounterConfig(n, T_s))
-            cells.append(
-                DutyCycleCell(
-                    tau_s=float(tau),
-                    n_bits=int(n),
-                    T_s=float(T_s),
-                    delta=d,
-                    feasible_10pct=d <= 0.10,
-                    feasible_1pct=d <= 0.01,
-                )
-            )
-    return cells
 
 
 # Regulatory payload caps (bytes) per bandwidth for the slow sync packets:

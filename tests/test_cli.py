@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lorafix
-from lorafix import Position, canonical_triangle, cli, forward_toa
+from lorafix import CounterConfig, Position, canonical_triangle, cli, duty_cycle, forward_toa
 from lorafix.cli import DEFAULTS, NOT_CONFIG, _render, build_parser, main
 
 from _oracles import (
@@ -205,6 +205,38 @@ class TestDutyCycleGrid:
         assert main(["dutycycle-grid", "--config", cfg, "--T-ns", "0"]) == 1
         assert "period_s must be positive, got 0.0" in capsys.readouterr().err
 
+    @staticmethod
+    def _cells(tmp_path, capsys, taus, ns):
+        """The JSON grid at T = 40 ns, one {column: value} dict per row."""
+        cfg = write_config(tmp_path, {"grid": {"tau_s": taus, "n_bits": ns}})
+        assert main(["dutycycle-grid", "--config", cfg, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+
+    def test_matches_scalar_duty_cycle(self, tmp_path, capsys):
+        taus, ns = [0.25, 1.0, 3.6], [24, 32, 38]
+        cells = self._cells(tmp_path, capsys, taus, ns)
+        assert [(c["tau_s"], c["n_bits"]) for c in cells] == [(t, n) for t in taus for n in ns]
+        for c in cells:
+            assert c["delta"] == duty_cycle(c["tau_s"], CounterConfig(c["n_bits"], c["T_s"]))
+
+    def test_reference_cell(self, tmp_path, capsys):
+        (cell,) = self._cells(tmp_path, capsys, [1.0], [32])
+        assert cell["delta"] == pytest.approx(1.0 / 171.79869184, rel=1e-12)
+        assert cell["feasible_10pct"] is True and cell["feasible_1pct"] is True
+
+    def test_short_counter_infeasible(self, tmp_path, capsys):
+        (cell,) = self._cells(tmp_path, capsys, [3.6], [4])
+        assert cell["delta"] > 1.0
+        assert cell["feasible_10pct"] is False and cell["feasible_1pct"] is False
+
+    def test_feasibility_monotone_in_bits(self, tmp_path, capsys):
+        cells = self._cells(tmp_path, capsys, [2.0], list(range(10, 40)))
+        deltas = [c["delta"] for c in cells]
+        assert all(b < a for a, b in zip(deltas, deltas[1:]))
+        flips = [c["feasible_1pct"] for c in cells]
+        assert flips == sorted(flips) and flips[0] is False and flips[-1] is True
+
 
 class TestSweepRange:
     def test_stop_below_start_exit_1(self, tmp_path):
@@ -370,6 +402,12 @@ class TestConfigTypes:
                 ["sweep-emax", "--seed", "-1", "--points", "10"],
                 {},
                 "seed must be a non-negative integer, got -1",
+            ),
+            # Both keys parse to 125000, so one of the two caps would be dropped unseen.
+            (
+                ["alpha-bounds"],
+                {"alpha": {"pl_caps": {"125000": 51, "0125000": 3}}},
+                "alpha.pl_caps.0125000 repeats bandwidth 125000",
             ),
         ],
     )
@@ -588,17 +626,13 @@ class TestCsvRender:
     @staticmethod
     def _per_cell(cols, rows):
         lines = [",".join(cols)]
-        for r in rows:
-            cells = [v.item() if isinstance(v, np.generic) else v for v in r]
-            lines.append(",".join(cli._csv_cell(v) for v in cells))
+        lines.extend(",".join(map(cli._csv_cell, r)) for r in rows)
         return "\n".join(lines) + "\n"
 
     ROWS = [
         [float("nan"), float("inf"), -0.0, 0.1, 7, "a"],
         [-float("inf"), 1e-300, 5e-324, 1.7976931348623157e308, 2**70, "50% b"],
-        [np.float64(0.1), np.float32(0.1), np.int64(-(2**63)), np.int8(-3), np.uint64(2**64 - 1),
-         np.str_("c")],
-        [True, np.bool_(False), -0.0, 0.5, -(2**80), ""],
+        [True, False, -0.0, 0.5, -(2**80), ""],
         # Column 4 changes type from row to row: int, float, bool, str, numpy int.
         [1.5, 2.5, 3.5, 4.5, 1.0, "d"],
         [1.5, 2.5, 3.5, 4.5, False, "e"],
@@ -623,6 +657,44 @@ class TestCsvRender:
 
     def test_empty_table(self):
         assert _render(["a", "b"], [], "csv") == "a,b\n"
+
+
+class TestCellTypes:
+    """Every command hands ``_render`` only Python bool, int, float and str
+    cells, so neither encoding needs to convert numpy scalars."""
+
+    COMMANDS = [
+        ["solve", "1.1864679979e-4", "1.1295747147e-4", "1.1898980542e-4"],
+        ["airtime"],
+        ["sweep-emax", "--seed", "1", "--points", "20"],
+        ["dutycycle-grid"],
+        ["error-map", "--seed", "1", "--points", "10", "--transmissions", "2"],
+        ["alpha-bounds"],
+    ]
+    # Configured gateways and a forced low-data-rate flag take other paths
+    # than the canonical triangle and the symbol-duration rule.
+    CONFIG = {
+        "geometry": {"gateways": [[0, -5000], [4330.13, 2500], [-4330.13, 2500]]},
+        "radio": {"low_dr_opt": 0},
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_are_python_scalars(self, tmp_path, capsys, monkeypatch, fmt):
+        types = set()
+        render = cli._render
+
+        def checked(cols, rows, fmt):
+            rows = [list(r) for r in rows]
+            types.update(type(v) for r in rows for v in r)
+            return render(cols, rows, fmt)
+
+        monkeypatch.setattr(cli, "_render", checked)
+        cfg = write_config(tmp_path, self.CONFIG)
+        for argv in self.COMMANDS:
+            for extra in ([], ["--config", cfg]):
+                assert main([*argv, *extra, "--format", fmt]) == 0, argv
+        capsys.readouterr()
+        assert types == {bool, int, float, str}
 
 
 class TestSeedResolution:

@@ -16,8 +16,6 @@ from lorafix import (
     SweepConfig,
     alpha_bounds,
     canonical_triangle,
-    duty_cycle,
-    duty_cycle_grid,
     error_map,
     forward_toa_batch,
     sample_points_in_triangle,
@@ -324,33 +322,6 @@ class TestErrorMap:
             error_map(replace(cfg, counter=CounterConfig(4, t_max / 15.5)))
         fits = replace(cfg, counter=CounterConfig(4, t_max / 14.5))
         assert error_map(fits).points.shape == (50, 2)
-
-
-class TestDutyCycleGrid:
-    def test_matches_scalar_duty_cycle(self):
-        taus = [0.25, 1.0, 3.6]
-        ns = [24, 32, 38]
-        cells = duty_cycle_grid(taus, ns, 40e-9)
-        assert len(cells) == 9
-        for cell in cells:
-            assert cell.delta == duty_cycle(cell.tau_s, CounterConfig(cell.n_bits, cell.T_s))
-
-    def test_reference_cell(self):
-        (cell,) = duty_cycle_grid([1.0], [32], 40e-9)
-        assert cell.delta == pytest.approx(1.0 / 171.79869184, rel=1e-12)
-        assert cell.feasible_10pct and cell.feasible_1pct
-
-    def test_short_counter_infeasible(self):
-        (cell,) = duty_cycle_grid([3.6], [4], 40e-9)
-        assert cell.delta > 1.0
-        assert not cell.feasible_10pct and not cell.feasible_1pct
-
-    def test_feasibility_monotone_in_bits(self):
-        cells = duty_cycle_grid([2.0], range(10, 40), 40e-9)
-        deltas = [c.delta for c in cells]
-        assert all(b < a for a, b in zip(deltas, deltas[1:]))
-        flips = [c.feasible_1pct for c in cells]
-        assert flips == sorted(flips)  # False ... False True ... True
 
 
 def _swept_alpha_bounds(sf=12, pl_caps=None, cr_range=(1, 2, 3, 4), n_preamble=8):

@@ -660,6 +660,28 @@ class TestLateEmission:
             assert ok.all() and np.array_equal(fixes[:, 2], later[route][0][:, 2]), route
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1 step 3: _pick has no emission window t0 <= min t_j + R/c yet",
+)
+@pytest.mark.parametrize("route", ["solve_analytic", "solve_closed_form", "batch"])
+def test_fix_is_emitted_inside_the_window(route):
+    """The arrivals (0, 0, 100 us) are inconsistent on the 10 km triangle
+    (|d3 - d1| would be 30 km, over the 8.66 km baseline). Every route returns
+    (11538, -6661) m with residual 19 035 m and t0 = 38.9 us, later than
+    min t_j + R/c = 16.7 us, with R = 5 km the centroid's gateway distance.
+    The other root, t0 = 63.3 us, lies past the window too."""
+    t = (0.0, 0.0, 100e-6)
+    if route == "batch":
+        t0 = solve_closed_form_batch(np.array([t]), TRI).t0_s[0]
+    else:
+        t0 = getattr(solver, route)(ToAObservation(*t), TRI).t0_s
+    g = TRI.as_array()
+    radius = np.hypot(*(g - g.mean(axis=0)).T).max()
+    assert t0 <= min(t) + radius / SPEED_OF_LIGHT
+
+
 class TestInvariances:
     def test_translation_equivariance(self):
         rng = np.random.default_rng(83)
