@@ -14,12 +14,12 @@ Output routing: with --out, the data table goes to the file and a short
 human summary to stdout; without --out, the table goes to stdout and the
 summary to stderr. Progress notes always go to stderr.
 
-Config: DEFAULTS, deep-merged with the --config file, then every flag given;
-each override flag's dest is the dotted key it replaces (--points ->
-sweep.points), and --diameter-m also clears geometry.gateways. Commands read
-values only through ``_get``, which requires every section to be an object
-and types the leaf, and ``_nums`` (non-empty number lists); a bad value
-exits 1 naming its key.
+Config: ``_flatten`` turns DEFAULTS, then the --config file, into one
+{dotted key: value} map, checking the file's keys and sections on load. Each
+flag given then replaces the dotted key that is its dest (--points ->
+sweep.points), and --diameter-m also clears geometry.gateways. Values are
+checked when a command reads them (``_get``, ``_nums``). A bad key or value
+exits 1 naming it.
 """
 
 from __future__ import annotations
@@ -102,42 +102,46 @@ DEFAULTS = {
 NOT_CONFIG = ("config", "out", "format", "func", "command")  # parser dests that are not keys
 
 
-def _merge(base, override):
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
+def _unique_keys(pairs) -> dict:
+    # json.load keeps the last of a repeated key, which would hide the first.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key}")
+        obj[key] = value
+    return obj
+
+
+def _flatten(doc, shape: dict, prefix: str = "") -> dict:
+    """``doc`` as {dotted key: value}. It and its sections must be objects, with
+    the keys of ``shape`` (nested like DEFAULTS); a leaf value is kept whole."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config root'} must be an object, got {json.dumps(doc)}")
+    flat = {}
+    for name, value in doc.items():
+        if name not in shape:
+            raise ConfigError(f"unknown config key {prefix}{name}")
+        if isinstance(shape[name], dict):
+            flat.update(_flatten(value, shape[name], f"{prefix}{name}."))
         else:
-            out[k] = v
-    return out
-
-
-def _put(cfg: dict, path, value) -> dict:
-    # Copy-on-write (DEFAULTS stays intact); a non-object section is left for _get to report.
-    head, *rest = path
-    if rest and not isinstance(cfg[head], dict):
-        return cfg
-    return {**cfg, head: _put(cfg[head], rest, value) if rest else value}
+            flat[prefix + name] = value
+    return flat
 
 
 def _load_config(args) -> dict:
-    """DEFAULTS, deep-merged with the --config file, then every flag given."""
-    cfg = DEFAULTS
+    """DEFAULTS as dotted keys, updated by the --config file, then by every flag given."""
+    cfg = _flatten(DEFAULTS, DEFAULTS)
     if args.config:
         with open(args.config, "r") as fh:
             try:
-                user = json.load(fh)
+                user = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"config is not valid JSON: {e}") from e
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg = _merge(cfg, user)
-    for key, value in vars(args).items():
-        if key not in NOT_CONFIG and value not in (None, []):
-            cfg = _put(cfg, key.split("."), value)
+        cfg.update(_flatten(user, DEFAULTS))
+    cfg.update((k, v) for k, v in vars(args).items() if k not in NOT_CONFIG and v not in (None, []))
     # --diameter-m beats the config's gateways as well as its diameter.
     if vars(args).get("geometry.diameter_m") is not None:
-        cfg = _put(cfg, ["geometry", "gateways"], None)
+        cfg["geometry.gateways"] = None
     return cfg
 
 
@@ -161,15 +165,8 @@ def _num(value, key: str, kind=float):
     return kind(value)
 
 
-def _get(cfg: dict, key: str, kind=None):
-    """Value at dotted ``key``, typed by ``_num`` if ``kind``; each section must be an object."""
-    *sections, leaf = key.split(".")
-    for i, name in enumerate(sections):
-        cfg = cfg[name]
-        if not isinstance(cfg, dict):
-            section = ".".join(sections[: i + 1])
-            raise ConfigError(f"{section} must be an object, got {json.dumps(cfg)}")
-    return cfg[leaf] if kind is None else _num(cfg[leaf], key, kind)
+def _get(cfg: dict, key: str, kind):
+    return _num(cfg[key], key, kind)
 
 
 def _nums(values, key: str, kind=float, n=None) -> list:
@@ -182,7 +179,7 @@ def _nums(values, key: str, kind=float, n=None) -> list:
 
 
 def _resolve_seed(cfg) -> int:
-    if _get(cfg, "seed") is None:
+    if cfg["seed"] is None:
         raise ConfigError("stochastic commands need a seed (--seed or the config seed key)")
     seed = _get(cfg, "seed", int)
     if seed < 0:
@@ -191,7 +188,7 @@ def _resolve_seed(cfg) -> int:
 
 
 def _geometry(cfg) -> GatewayTriple:
-    gws = _get(cfg, "geometry.gateways")
+    gws = cfg["geometry.gateways"]
     if gws is None:
         return canonical_triangle(_get(cfg, "geometry.diameter_m", float))
     if not isinstance(gws, list) or len(gws) != 3:
@@ -208,7 +205,7 @@ def _counter(cfg) -> CounterConfig:
 def _radio(cfg) -> RadioParams:
     sf = _get(cfg, "radio.sf", int)
     bw = _get(cfg, "radio.bw_hz", int)
-    de = _get(cfg, "radio.low_dr_opt")
+    de = cfg["radio.low_dr_opt"]
     return RadioParams(
         sf=sf,
         bw_hz=bw,
@@ -273,7 +270,7 @@ def _emit(cols, rows, summary: str, fmt: str, out) -> None:
 
 
 def cmd_solve(cfg) -> tuple:
-    toa = _nums(_get(cfg, "toa"), "toa", n=3)
+    toa = _nums(cfg["toa"], "toa", n=3)
     est = solve_analytic(ToAObservation(*toa), _geometry(cfg))
     cols = ["x_m", "y_m", "t0_s", "residual_m", "root_index"]
     rows = [[est.pos.x, est.pos.y, est.t0_s, est.residual_m, est.root_index]]
@@ -332,8 +329,8 @@ def cmd_sweep_emax(cfg) -> tuple:
 def cmd_dutycycle_grid(cfg) -> tuple:
     # Only the period: the grid's own n_bits replace counter.n_bits.
     T_s = _get(cfg, "counter.T_ns", float) * 1e-9
-    tau_values = _nums(_get(cfg, "grid.tau_s"), "grid.tau_s")
-    n_values = _nums(_get(cfg, "grid.n_bits"), "grid.n_bits", int)
+    tau_values = _nums(cfg["grid.tau_s"], "grid.tau_s")
+    n_values = _nums(cfg["grid.n_bits"], "grid.n_bits", int)
     cols = ["tau_s", "n_bits", "T_s", "delta", "feasible_10pct", "feasible_1pct"]
     rows = []
     for tau in tau_values:
@@ -371,7 +368,7 @@ def cmd_error_map(cfg) -> tuple:
 
 
 def cmd_alpha_bounds(cfg) -> tuple:
-    caps = _get(cfg, "alpha.pl_caps")
+    caps = cfg["alpha.pl_caps"]
     if caps is not None:
         if not isinstance(caps, dict) or not all(bw.isdigit() for bw in caps):
             got = json.dumps(caps)
@@ -382,7 +379,7 @@ def cmd_alpha_bounds(cfg) -> tuple:
                 raise ConfigError(f"alpha.pl_caps.{bw} repeats bandwidth {int(bw)}")
             parsed[int(bw)] = _num(cap, f"alpha.pl_caps.{bw}", int)
         caps = parsed
-    cr = _nums(_get(cfg, "alpha.cr"), "alpha.cr", int)
+    cr = _nums(cfg["alpha.cr"], "alpha.cr", int)
     bounds = alpha_bounds(
         sf=_get(cfg, "alpha.sf", int),
         pl_caps=caps,

@@ -1,11 +1,20 @@
-"""End-to-end checks of the command-line interface via subprocess; the
-flag-precedence checks, which need many runs, call ``main`` in-process."""
+"""End-to-end checks of the command-line interface.
+
+``run_cli`` calls ``main`` in-process and returns what a child process would:
+its exit code, stdout and stderr, warnings included. ``run_cli_child`` runs
+``python -m lorafix`` where a fresh interpreter is the point: the entry
+point, the environment, output that could depend on the hash seed, and
+allocations too large for the address space.
+"""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +32,21 @@ from _oracles import (
 )
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as e:  # argparse's own errors
+                code = e.code
+        for w in caught:
+            err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_child(*argv, env_extra=None):
     env = {**os.environ, **(env_extra or {})}
     # The child imports the same lorafix as these tests, wherever it came from.
     src = os.path.dirname(os.path.dirname(lorafix.__file__))
@@ -33,22 +56,23 @@ def run_cli(*argv, env_extra=None, cwd=None):
         capture_output=True,
         text=True,
         env=env,
-        cwd=cwd,
         timeout=300,
     )
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
+    """Write ``doc`` as JSON, or as is if it is a string (raw JSON text)."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
 class TestSolve:
     def test_recovers_known_position(self):
+        # Through the `python -m lorafix` entry point.
         tri = canonical_triangle(10000.0)
         obs = forward_toa(Position(1000.0, 500.0), tri, 1e-4)
-        r = run_cli("solve", repr(obs.t1), repr(obs.t2), repr(obs.t3))
+        r = run_cli_child("solve", repr(obs.t1), repr(obs.t2), repr(obs.t3))
         assert r.returncode == 0
         header, row = r.stdout.strip().splitlines()
         assert header == "x_m,y_m,t0_s,residual_m,root_index"
@@ -159,6 +183,15 @@ class TestAlphaBounds:
         vals = r.stdout.strip().splitlines()[1].split(",")
         assert float(vals[0]) == pytest.approx(0.827392, abs=1e-9)
         assert vals[2] == "sf=12 bw=125000 cr=1 pl=1 de=1"
+
+    def test_config_pl_caps_keys_are_bandwidths_not_config_keys(self, tmp_path):
+        # The loader checks the config's shape only down to alpha.pl_caps.
+        cfg = write_config(tmp_path, {"alpha": {"pl_caps": {"500000": 33, "250000": 51}}})
+        r = run_cli("alpha-bounds", "--config", cfg)
+        assert r.returncode == 0, r.stderr
+        vals = r.stdout.strip().splitlines()[1].split(",")
+        assert float(vals[0]) == pytest.approx(0.206848, abs=1e-9)
+        assert vals[2].startswith("sf=12 bw=500000 ")
 
     def test_empty_coding_rate_range_exit_1(self, tmp_path):
         # A zero payload cap leaves no payload to sweep at the only bandwidth.
@@ -276,7 +309,7 @@ class TestSweepRange:
     )
     def test_too_large_for_memory_exit_4(self, tmp_path, flags, doc):
         cfg = write_config(tmp_path, doc)
-        r = run_cli("sweep-emax", "--seed", "1", *flags, "--config", cfg)
+        r = run_cli_child("sweep-emax", "--seed", "1", *flags, "--config", cfg)
         self._assert_one_line_error(r, 4, "error: out-of-memory: Unable to allocate")
 
 
@@ -409,12 +442,26 @@ class TestConfigTypes:
                 {"alpha": {"pl_caps": {"125000": 51, "0125000": 3}}},
                 "alpha.pl_caps.0125000 repeats bandwidth 125000",
             ),
+            # The config's shape is checked whole on load: a misspelled key
+            # once ran the paper-scale sweep, and a section no command reads
+            # may not be malformed either.
+            (["sweep-emax", *SEEDED], {"sed": 3}, "unknown config key sed"),
+            (["sweep-emax", *SEEDED], {"sweep": {"point": 10}}, "unknown config key sweep.point"),
+            (["airtime"], {"sweep": None}, "sweep must be an object, got null"),
+            (["airtime"], "[1, 2]", "config root must be an object, got [1, 2]"),
+            # json.load keeps the last of a repeated key, which ran 20 targets here.
+            (
+                ["sweep-emax", *SEEDED],
+                '{"sweep": {"points": 10, "points": 20}}',
+                "config repeats key points",
+            ),
         ],
     )
     def test_wrong_type_names_key_exit_1(self, tmp_path, argv, doc, message):
         r = run_cli(*argv, "--config", write_config(tmp_path, doc))
         assert r.returncode == 1
         assert r.stderr.strip().endswith(f"error: {message}")
+        assert r.stderr.count("error:") == 1
         assert "Traceback" not in r.stderr
 
     def test_integral_float_is_an_integer(self, tmp_path):
@@ -461,14 +508,6 @@ class TestOutOfRangeNumbers:
         assert r.stderr.strip().splitlines()[-1].startswith(last_line)
 
 
-def _exit_and_stderr(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as e:  # argparse's own errors
-        code = e.code
-    return code, capsys.readouterr().err
-
-
 class TestNegativeNumbers:
     # argparse takes only -<digits>[.<digits>] as a negative number, so float
     # flags given -4e1 or -inf once exited with "expected one argument",
@@ -485,12 +524,14 @@ class TestNegativeNumbers:
             ("-nan", "counter.T_ns must be a finite number, got NaN"),
         ],
     )
-    def test_flag_value_meets_the_checks_in_both_forms(self, capsys, value, message):
+    def test_flag_value_meets_the_checks_in_both_forms(self, value, message):
         for argv in (["airtime", "--T-ns", value], ["airtime", f"--T-ns={value}"]):
-            assert _exit_and_stderr(capsys, argv) == (1, f"error: {message}\n")
+            r = run_cli(*argv)
+            assert (r.returncode, r.stderr) == (1, f"error: {message}\n")
 
     def test_negative_positionals_need_no_separator(self, capsys):
-        assert _exit_and_stderr(capsys, ["solve", "1e300", "-1e300", "0"]) == (
+        r = run_cli("solve", "1e300", "-1e300", "0")
+        assert (r.returncode, r.stderr) == (
             2,
             "error: no-real-root: observation admits no real range solution\n",
         )
@@ -499,9 +540,9 @@ class TestNegativeNumbers:
         assert "circumdiameter must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-x", "-4e", "--inf"])
-    def test_non_numbers_stay_flags(self, capsys, value):
-        code, err = _exit_and_stderr(capsys, ["airtime", "--T-ns", value])
-        assert (code, err) == (1, "error: argument --T-ns: expected one argument\n")
+    def test_non_numbers_stay_flags(self, value):
+        r = run_cli("airtime", "--T-ns", value)
+        assert (r.returncode, r.stderr) == (1, "error: argument --T-ns: expected one argument\n")
 
 
 @pytest.mark.parametrize("error", [TypeError, KeyError])
@@ -700,7 +741,7 @@ class TestCellTypes:
 class TestSeedResolution:
     def test_missing_seed_exit_1(self):
         # The seed comes from --seed or the config alone, never the environment.
-        r = run_cli("sweep-emax", "--points", "50", env_extra={"LORAFIX_SEED": "9"})
+        r = run_cli_child("sweep-emax", "--points", "50", env_extra={"LORAFIX_SEED": "9"})
         assert r.returncode == 1
         assert "seed" in r.stderr
 
@@ -713,7 +754,7 @@ class TestStochasticReproducibility:
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         for out in (out_a, out_b):
-            r = run_cli("sweep-emax", "--config", cfg, "--seed", "42", "--out", str(out))
+            r = run_cli_child("sweep-emax", "--config", cfg, "--seed", "42", "--out", str(out))
             assert r.returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -723,8 +764,8 @@ class TestStochasticReproducibility:
         )
         out_1 = tmp_path / "w1.csv"
         out_4 = tmp_path / "w4.csv"
-        r1 = run_cli("sweep-emax", "--config", cfg, "--seed", "42", "--workers", "1", "--out", str(out_1))
-        r4 = run_cli("sweep-emax", "--config", cfg, "--seed", "42", "--workers", "4", "--out", str(out_4))
+        r1 = run_cli_child("sweep-emax", "--config", cfg, "--seed", "42", "--workers", "1", "--out", str(out_1))
+        r4 = run_cli_child("sweep-emax", "--config", cfg, "--seed", "42", "--workers", "4", "--out", str(out_4))
         assert r1.returncode == r4.returncode == 0
         assert out_1.read_bytes() == out_4.read_bytes()
 
@@ -733,20 +774,20 @@ class TestStochasticReproducibility:
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         for out in (out_a, out_b):
-            r = run_cli(*args, "--out", str(out))
+            r = run_cli_child(*args, "--out", str(out))
             assert r.returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_summary_goes_to_stdout_with_out(self, tmp_path):
         out = tmp_path / "t.csv"
-        r = run_cli("error-map", "--points", "100", "--transmissions", "2", "--seed", "1", "--out", str(out))
+        r = run_cli_child("error-map", "--points", "100", "--transmissions", "2", "--seed", "1", "--out", str(out))
         assert r.returncode == 0
         assert "max error" in r.stdout
         assert out.read_text().startswith("x_m,y_m,max_error_m,failed_solves")
 
     def test_error_map_counter_overflow_exit_2(self):
         # An 8-bit counter at 40 ns wraps after 10 us, before the arrivals.
-        r = run_cli("error-map", "--n-bits", "8", "--seed", "1")
+        r = run_cli_child("error-map", "--n-bits", "8", "--seed", "1")
         assert r.returncode == 2
         assert "counter-overflow" in r.stderr
         assert r.stdout == ""

@@ -1,7 +1,11 @@
-"""README's library examples run as written."""
+"""README's library examples and its config example run as written."""
 
 import pathlib
 import re
+
+import pytest
+
+from lorafix.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,12 @@ def test_experiments_block_compiles():
     code = _python_blocks()[3]
     assert "sweep_emax" in code
     compile(code, "README.md python block 4", "exec")
+
+
+@pytest.mark.parametrize("argv", [["airtime"], ["alpha-bounds"], ["dutycycle-grid"], ["solve"]])
+def test_config_example_loads(tmp_path, capsys, argv):
+    # Every key the example lists must be one the loader accepts.
+    (doc,) = re.findall(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert main([*argv, "--config", str(cfg)]) == 0, capsys.readouterr().err
