@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +11,13 @@ import numpy as np
 
 class CounterOverflowError(ValueError):
     """The arrival time falls past the counter's rollover point."""
+
+
+def _require_int(**fields):
+    """Raise ValueError unless each value is a Python or numpy integer, not a bool."""
+    for name, v in fields.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -19,10 +28,13 @@ class CounterConfig:
     period_s: float
 
     def __post_init__(self):
+        _require_int(n_bits=self.n_bits)
         if not 1 <= self.n_bits <= 64:
             raise ValueError(f"n_bits must be in 1..64, got {self.n_bits!r}")
         if not (self.period_s > 0):
             raise ValueError(f"period_s must be positive, got {self.period_s!r}")
+        if self.period_s == math.inf:
+            raise ValueError(f"period_s must be finite, got {self.period_s!r}")
 
 
 def quantize(t_true_s, cfg: CounterConfig):
@@ -37,7 +49,7 @@ def quantize(t_true_s, cfg: CounterConfig):
         raise ValueError(f"arrival time must be non-negative, got {float(t.min())!r}")
     n = np.floor(t / cfg.period_s)
     # Compared as floats: a 64-bit reading does not fit a signed integer.
-    if np.any(n >= float(1 << cfg.n_bits)):
+    if np.any(n >= 2.0**cfg.n_bits):
         raise CounterOverflowError(
             f"t={float(t.max())!r} s exceeds the {cfg.n_bits}-bit counter range "
             f"({overflow_time(cfg)!r} s)"
@@ -47,13 +59,13 @@ def quantize(t_true_s, cfg: CounterConfig):
 
 def overflow_time(cfg: CounterConfig) -> float:
     """Time span 2^n * T after which the counter wraps, seconds."""
-    return float(1 << cfg.n_bits) * cfg.period_s
+    return float(2.0**cfg.n_bits) * cfg.period_s
 
 
 def rtc_drift_error(ppm: float, elapsed_s: float) -> float:
     """Accumulated clock error of a crystal with the given ppm drift."""
-    if ppm < 0:
-        raise ValueError(f"ppm must be non-negative, got {ppm!r}")
-    if elapsed_s < 0:
-        raise ValueError(f"elapsed_s must be non-negative, got {elapsed_s!r}")
+    if not (0 <= ppm < math.inf):
+        raise ValueError(f"ppm must be finite and non-negative, got {ppm!r}")
+    if not (0 <= elapsed_s < math.inf):
+        raise ValueError(f"elapsed_s must be finite and non-negative, got {elapsed_s!r}")
     return ppm * 1e-6 * elapsed_s

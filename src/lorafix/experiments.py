@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counter import CounterConfig, quantize
+from .counter import CounterConfig, _require_int, quantize
 from .error_model import SIGN_PATTERNS, ErrorModelParams, sample_error
 from .geometry import GatewayTriple, canonical_triangle, sample_points_in_triangle
 from .lora_phy import RadioParams, low_dr_opt_auto, preamble_duration, symbol_duration
@@ -80,8 +80,11 @@ class SweepConfig:
             raise ValueError(
                 f"T range {start!r}..{stop!r} in steps of {step!r} has no finite period count"
             )
+        _require_int(n_points=self.n_points, seed=self.seed)
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,11 @@ class ErrorMapConfig:
     gws: GatewayTriple = field(default_factory=_default_triangle)
 
     def __post_init__(self):
+        _require_int(n_points=self.n_points, n_transmissions=self.n_transmissions, seed=self.seed)
         if self.n_points < 1 or self.n_transmissions < 1:
             raise ValueError("n_points and n_transmissions must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

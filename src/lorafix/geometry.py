@@ -50,6 +50,9 @@ class GatewayTriple:
 
     Raises CollinearGatewaysError unless twice the signed area exceeds
     ``DEGENERATE_AREA_RATIO`` times the squared longest side.
+
+    ``_frame``, not a field, is the solvers' centroid frame in Python floats:
+    (cx, cy, (a1, a2, a3), (b1, b2, b3), R) with R = max_j hypot(a_j, b_j).
     """
 
     g1: Position
@@ -70,6 +73,10 @@ class GatewayTriple:
                 f"gateways are collinear (twice signed area {abs(ratio):.3e} "
                 "of the squared span)"
             )
+        (x1, y1), (x2, y2), (x3, y3) = ((float(g.x), float(g.y)) for g in gs)
+        cx, cy = (x1 + x2 + x3) / 3.0, (y1 + y2 + y3) / 3.0
+        ga, gb = (x1 - cx, x2 - cx, x3 - cx), (y1 - cy, y2 - cy, y3 - cy)
+        object.__setattr__(self, "_frame", (cx, cy, ga, gb, max(map(math.hypot, ga, gb))))
 
     def as_array(self) -> np.ndarray:
         """Gateway coordinates as a (3, 2) float array."""

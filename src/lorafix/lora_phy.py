@@ -15,6 +15,7 @@ always on for uplinks and therefore not exposed as a knob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .counter import CounterConfig, overflow_time
@@ -117,6 +118,6 @@ def duty_cycle(tau_s: float, counter: CounterConfig) -> float:
     A packet of duration ``tau_s`` sent once every counter span 2^n * T
     occupies delta = tau / (2^n * T) of the channel.
     """
-    if not (tau_s > 0):
-        raise ValueError(f"tau_s must be positive, got {tau_s!r}")
+    if not (0 < tau_s < math.inf):
+        raise ValueError(f"tau_s must be positive and finite, got {tau_s!r}")
     return tau_s / overflow_time(counter)

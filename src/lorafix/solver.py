@@ -37,13 +37,15 @@ independent solution routes are implemented and cross-validated:
     both take candidate ranges as sqrt(dx^2 + dy^2) rather than a hypot.
 
 Both routes work about the gateway centroid, so a triangle far from the
-coordinate origin loses no precision, and both produce two algebraic
-candidates. One residual, ``_rms_residual``, scores them as generated, and
-one rule keeps the physical one: ``_pick`` (t0 floor, then the smaller range
-residual, NaN losing like inf, and the tie window) and, on a tie, ``_prefer``
-(inside the triangle, then nearer its centroid). All three are written once
-for floats and arrays: the scalar routes reach them through ``_select``, the
-batch on all its rows at once; only the kept t0 is snapped to 0 below 1 ps.
+coordinate origin loses no precision; the frame and the triangle radius R
+come from the ``GatewayTriple``, which computes them once, when it is built.
+Both produce two algebraic candidates. One residual, ``_rms_residual``,
+scores them as generated, and one rule keeps the physical one: ``_pick`` (t0
+floor, then the smaller range residual, NaN losing like inf, and the tie
+window) and, on a tie, ``_prefer`` (inside the triangle, then nearer its
+centroid). All three are written once for floats and arrays: the scalar
+routes reach them through ``_select``, the batch on all its rows at once;
+only the kept t0 is snapped to 0 below 1 ps.
 """
 
 from __future__ import annotations
@@ -225,16 +227,16 @@ def _rms_residual(x, y, t0, t, ga, gb, sqrt):
     return sqrt(s)
 
 
-def _select(cands, t, gws, frame):
+def _select(cands, t, gws):
     """Score a scalar route's two candidates and pick the fix.
 
-    ``cands`` holds two (x, y, t0) in root order, about the centroid of
-    ``frame`` (from :func:`_centred_frame`); ``t`` holds the arrival times.
+    ``cands`` holds two (x, y, t0) in root order, about the centroid of the
+    frame ``gws`` carries; ``t`` holds the arrival times.
     ``_rms_residual`` scores the raw candidates and ``_pick`` decides, as in
     the batch; only the kept t0 is snapped to 0 below 1 ps. Raises
     NoRealRootError if neither residual is finite.
     """
-    cx, cy, ga, gb = frame
+    cx, cy, ga, gb, _ = gws._frame
     (x0, y0, t00), (x1, y1, t01) = cands
     res0 = _rms_residual(x0, y0, t00, t, ga, gb, math.sqrt)
     res1 = _rms_residual(x1, y1, t01, t, ga, gb, math.sqrt)
@@ -248,17 +250,6 @@ def _select(cands, t, gws, frame):
         t0 = 0.0
     # contains() gives numpy bools on numpy-float gateways.
     return LocalizationEstimate(Position(x + cx, y + cy), t0, res, int(pick))
-
-
-def _centred_frame(gws: GatewayTriple):
-    """The gateway centroid (cx, cy) and the gateway coordinates about it,
-    as ((a1, a2, a3), (b1, b2, b3)), all Python floats."""
-    g1, g2, g3 = gws.g1, gws.g2, gws.g3
-    x1, x2, x3 = float(g1.x), float(g2.x), float(g3.x)
-    y1, y2, y3 = float(g1.y), float(g2.y), float(g3.y)
-    cx = (x1 + x2 + x3) / 3.0
-    cy = (y1 + y2 + y3) / 3.0
-    return cx, cy, (x1 - cx, x2 - cx, x3 - cx), (y1 - cy, y2 - cy, y3 - cy)
 
 
 def _closing_quadratic(t1, t2, t3, ga, gb):
@@ -298,12 +289,12 @@ def _closing_quadratic(t1, t2, t3, ga, gb):
     return xc, xl, yc, yl, qa, qb, qc
 
 
-def _augmented_solve(ga, gb, t):
-    """(u, v, t_min, radius) with A u = 1 and A v = m, by the adjugate of A, in
-    Python floats; A and m as in :func:`solve_analytic`. Cofactor row j is the
-    cross product of A's other two rows. Raises NoRealRootError if det A is 0."""
+def _augmented_solve(ga, gb, radius, t):
+    """(u, v, t_min) with A u = 1 and A v = m, by the adjugate of A, in Python
+    floats; A and m as in :func:`solve_analytic`, for the triangle's radius R.
+    Cofactor row j is the cross product of A's other two rows. Raises
+    NoRealRootError if det A is 0."""
     c = SPEED_OF_LIGHT
-    radius = max(map(math.hypot, ga, gb))
     t_min = min(t)
     (a1, a2, a3), (b1, b2, b3) = ga, gb
     z1, z2, z3 = [c * (tj - t_min) + radius for tj in t]
@@ -318,7 +309,7 @@ def _augmented_solve(ga, gb, t):
     u = ((c11 + c21 + c31) / det, (c12 + c22 + c32) / det, (c13 + c23 + c33) / det)
     v = ((m1 * c11 + m2 * c21 + m3 * c31) / det, (m1 * c12 + m2 * c22 + m3 * c32) / det,
          (m1 * c13 + m2 * c23 + m3 * c33) / det)
-    return u, v, t_min, radius
+    return u, v, t_min
 
 
 def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstimate:
@@ -358,8 +349,8 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
     """
     c = SPEED_OF_LIGHT
     t = (float(obs.t1), float(obs.t2), float(obs.t3))
-    frame = _centred_frame(gws)
-    u, v, t_min, radius = _augmented_solve(*frame[2:], t)
+    _, _, ga, gb, radius = gws._frame
+    u, v, t_min = _augmented_solve(ga, gb, radius, t)
     # Indefinite inner products: the third coordinate carries the imaginary
     # unit, so its square enters with a minus sign.
     uu = u[0] * u[0] + u[1] * u[1] - u[2] * u[2]
@@ -373,7 +364,7 @@ def solve_analytic(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEstim
         )
         for l in _quadratic_roots(uu, 2.0 * uvp - 4.0, vv)
     ]
-    return _select(cands, t, gws, frame)
+    return _select(cands, t, gws)
 
 
 @dataclass(frozen=True)
@@ -391,8 +382,9 @@ class BatchSolveResult:
 def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveResult:
     """Closed-form TDoA solve of many observations at once.
 
-    Works about the gateway centroid (cx, cy), like :func:`solve_analytic`,
-    so a triangle far from the coordinate origin keeps its precision. With
+    Works about the gateway centroid (cx, cy) of the frame ``gws`` carries,
+    like :func:`solve_analytic`, so a triangle far from the coordinate origin
+    keeps its precision. With
     a_j, b_j the gateway coordinates relative to it and D_j1 = c*(t_j - t1),
     subtracting the first gateway's squared range equation from the other
     two gives
@@ -436,7 +428,7 @@ def solve_closed_form_batch(toas: np.ndarray, gws: GatewayTriple) -> BatchSolveR
     t = np.asarray(toas, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"toas must have shape (n, 3), got {t.shape}")
-    cx, cy, ga, gb = _centred_frame(gws)
+    cx, cy, ga, gb, _ = gws._frame
     # Rows with no real root, or huge geometries, overflow or divide by zero
     # into non-finite values, which the verdicts below handle. The root passes
     # reuse buffers (out=, in-place operators) but give every element the
@@ -503,11 +495,10 @@ def solve_closed_form(obs: ToAObservation, gws: GatewayTriple) -> LocalizationEs
     """
     c = SPEED_OF_LIGHT
     t = (float(obs.t1), float(obs.t2), float(obs.t3))
-    frame = _centred_frame(gws)
     try:
-        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(*t, *frame[2:])
+        xc, xl, yc, yl, qa, qb, qc = _closing_quadratic(*t, *gws._frame[2:4])
     except ZeroDivisionError:
         # Eight times the area underflowed to 0; the batch gets NaN rows.
         raise NoRealRootError("triangle area underflows") from None
     cands = [(xc + xl * d1, yc + yl * d1, t[0] - d1 / c) for d1 in _quadratic_roots(qa, qb, qc)]
-    return _select(cands, t, gws, frame)
+    return _select(cands, t, gws)

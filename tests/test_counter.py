@@ -99,6 +99,26 @@ def test_counter_config_validation():
         CounterConfig(n_bits=65, period_s=40e-9)
     with pytest.raises(ValueError):
         CounterConfig(n_bits=32, period_s=0.0)
+    # Whole floats and bools are not integers; an infinite period would
+    # quantize every arrival to 0.
+    for n_bits in (32.0, 32.5, True):
+        with pytest.raises(ValueError, match="n_bits must be an integer"):
+            CounterConfig(n_bits, 40e-9)
+    with pytest.raises(ValueError, match="period_s must be finite"):
+        CounterConfig(32, math.inf)
+
+
+def test_numpy_integer_bits_match_python_int():
+    for n_bits in (8, 32, 64):
+        want = CounterConfig(n_bits, 40e-9)
+        for cast in (np.int64, np.uint8):
+            cfg = CounterConfig(cast(n_bits), 40e-9)
+            assert type(overflow_time(cfg)) is float
+            assert overflow_time(cfg) == overflow_time(want)
+            t = overflow_time(want) * 0.75
+            assert quantize(t, cfg) == quantize(t, want)
+            with pytest.raises(CounterOverflowError):
+                quantize(overflow_time(want), cfg)
 
 
 class TestRtcDrift:
@@ -121,3 +141,9 @@ class TestRtcDrift:
             rtc_drift_error(-1.0, 1.0)
         with pytest.raises(ValueError):
             rtc_drift_error(1.0, -1.0)
+        for ppm, elapsed_s, name in (
+            (math.nan, 1.0, "ppm"), (math.inf, 1.0, "ppm"),
+            (1.0, math.nan, "elapsed_s"), (1.0, math.inf, "elapsed_s"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                rtc_drift_error(ppm, elapsed_s)

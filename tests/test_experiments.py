@@ -270,6 +270,22 @@ class TestSweepEmax:
             with pytest.raises(ValueError, match="start must be positive"):
                 SweepConfig(T_range=(start, 5e-9, 5e-9))
 
+    def test_non_integer_counts_and_seeds_rejected(self):
+        # Whole floats would only fail later, inside numpy or the seeding.
+        cases = [
+            (SweepConfig, "n_points", 100.0),
+            (SweepConfig, "n_points", True),
+            (ErrorMapConfig, "n_points", 50.0),
+            (ErrorMapConfig, "n_transmissions", 2.0),
+        ] + [(c, "seed", s) for c in (SweepConfig, ErrorMapConfig) for s in (2.0, 1.5)]
+        for cfg, name, value in cases:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                cfg(**{name: value})
+        for cfg in (SweepConfig, ErrorMapConfig):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+                cfg(seed=-1)
+            assert cfg(n_points=np.int64(5), seed=np.uint32(3)).seed == 3
+
     def test_infinite_period_count_rejected(self):
         # 1e300 ns in steps of 1e-300 ns (a subnormal 1e-309 s) is inf periods,
         # which no grid can hold.

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +104,60 @@ def test_sliver_rejected_at_every_scale():
             GatewayTriple(
                 Position(0.0, 0.0), Position(scale, 0.0), Position(2.0 * scale, 3e-14 * scale)
             )
+
+
+def _frame_formula(gws):
+    """Centroid, coordinates about it and radius R, written out in Python floats."""
+    x1, x2, x3 = (float(g.x) for g in (gws.g1, gws.g2, gws.g3))
+    y1, y2, y3 = (float(g.y) for g in (gws.g1, gws.g2, gws.g3))
+    cx = (x1 + x2 + x3) / 3.0
+    cy = (y1 + y2 + y3) / 3.0
+    ga = (x1 - cx, x2 - cx, x3 - cx)
+    gb = (y1 - cy, y2 - cy, y3 - cy)
+    return cx, cy, ga, gb, max(map(math.hypot, ga, gb))
+
+
+def _frame_bits(frame):
+    cx, cy, ga, gb, radius = frame
+    values = (cx, cy, *ga, *gb, radius)
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+class TestFrame:
+    def test_matches_formula_bitwise(self):
+        """The frame a triple carries is the formula's, bit for bit: 400
+        seeded triangles of 1e-3 m to 1e5 m, offset by up to 100 sizes, with
+        Python, numpy float64 and numpy float32 coordinates."""
+        rng = np.random.default_rng(3303)
+        for _ in range(400):
+            size = 10.0 ** rng.uniform(-3.0, 5.0)
+            verts = rng.uniform(-1.0, 1.0, (3, 2)) * size + rng.uniform(-100.0, 100.0, 2) * size
+            for cast in (float, np.float64, np.float32):
+                gws = GatewayTriple(*(Position(cast(x), cast(y)) for x, y in verts))
+                assert _frame_bits(gws._frame) == _frame_bits(_frame_formula(gws))
+
+    def test_survives_pickle_copy_and_replace(self):
+        gws = GatewayTriple(Position(1.0, 2.0), Position(40.0, -3.0), Position(7.5, 31.0))
+        want = _frame_bits(_frame_formula(gws))
+        for twin in (pickle.loads(pickle.dumps(gws)), copy.deepcopy(gws)):
+            assert twin == gws
+            assert _frame_bits(twin._frame) == want
+        moved = dataclasses.replace(gws, g1=Position(-5.0, 0.0))
+        assert _frame_bits(moved._frame) == _frame_bits(_frame_formula(moved)) != want
+
+    def test_not_a_field(self):
+        """Fields, asdict, repr, == and hash see only the three gateways."""
+        gws = canonical_triangle(10000.0)
+        assert [f.name for f in dataclasses.fields(gws)] == ["g1", "g2", "g3"]
+        assert dataclasses.asdict(gws).keys() == {"g1", "g2", "g3"}
+        assert repr(gws) == f"GatewayTriple(g1={gws.g1!r}, g2={gws.g2!r}, g3={gws.g3!r})"
+        twin = GatewayTriple(gws.g1, gws.g2, gws.g3)
+        object.__setattr__(twin, "_frame", None)
+        assert twin == gws
+        assert hash(twin) == hash(gws) == hash((gws.g1, gws.g2, gws.g3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gws._frame = None
 
 
 def test_gateway_triple_as_array():

@@ -180,3 +180,6 @@ class TestDutyCycle:
         # n_bits and the period are checked by CounterConfig itself.
         with pytest.raises(ValueError, match="tau_s must be positive"):
             duty_cycle(-1.0, CFG32)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau_s must be positive and finite"):
+                duty_cycle(tau, CFG32)

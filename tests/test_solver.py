@@ -371,9 +371,10 @@ class TestAugmentedSolve:
             toa = forward_toa_batch(target[None], gws, late)[0]
             toa += rng.uniform(-1.0, 1.0, 3) * rng.choice([0.0, 1e-2, 1.0, 5.0]) * size / c
             t = tuple(toa.tolist())
-            _, _, ga, gb = solver._centred_frame(gws)
-            u, v, t_min, radius = solver._augmented_solve(ga, gb, t)
-            assert (t_min, radius) == (min(t), max(map(math.hypot, ga, gb)))
+            _, _, ga, gb, radius = gws._frame
+            assert radius == max(map(math.hypot, ga, gb))
+            u, v, t_min = solver._augmented_solve(ga, gb, radius, t)
+            assert t_min == min(t)
             A = np.array([(a, b, c * (tj - t_min) + radius) for a, b, tj in zip(ga, gb, t)])
             ref = np.linalg.solve(A, np.array([(1.0, a * a + b * b - z * z) for a, b, z in A]))
             cond = np.linalg.cond(A, np.inf)
@@ -830,7 +831,7 @@ class TestResidual:
         special = np.array([1e200, -1e200, np.inf, -np.inf, np.nan])
         n = 5000
         for gws in (TRI, _triple(far)):
-            _, _, ga, gb = solver._centred_frame(gws)
+            _, _, ga, gb, _ = gws._frame
             size = np.ptp(gws.as_array(), axis=0).max()
             t = np.sort(rng.uniform(0.0, 1e-3, (3, n)), axis=0)
             cands = []
